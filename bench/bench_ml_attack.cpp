@@ -103,10 +103,7 @@ void BM_CrpCollectionPhotonicBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_CrpCollectionPhotonicBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(static_cast<int>(common::ThreadPool::default_thread_count()))
+    ->Apply(bench::thread_args)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

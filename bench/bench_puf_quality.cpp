@@ -8,7 +8,6 @@
 // *different challenges on the same device* (challenge sensitivity);
 // the reliability intra-distance (same challenge re-read) is reported
 // separately and must be small.
-#include <thread>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -273,13 +272,8 @@ void BM_PhotonicEvaluateNoiseless(benchmark::State& state) {
 }
 BENCHMARK(BM_PhotonicEvaluateNoiseless)->Unit(benchmark::kMicrosecond);
 
-int hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-// Thread-scaling cases: items/sec at 1, 2, 4, and hardware_concurrency
-// threads over a dedicated pool (Arg = pool width).
+// Thread-scaling cases: items/sec over a dedicated pool at each
+// bench::thread_counts() width (Arg = pool width).
 
 void BM_PhotonicEvaluateBatch(benchmark::State& state) {
   puf::PhotonicPufConfig cfg;  // full-size: 64-bit challenge, 8 ports
@@ -295,10 +289,7 @@ void BM_PhotonicEvaluateBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(challenges.size()));
 }
 BENCHMARK(BM_PhotonicEvaluateBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(hardware_threads())
+    ->Apply(bench::thread_args)
     ->Unit(benchmark::kMillisecond);
 
 // The batch hot path of the verifier/model side (attestation model
@@ -319,8 +310,7 @@ void BM_PhotonicNoiselessBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(challenges.size()));
 }
 BENCHMARK(BM_PhotonicNoiselessBatch)
-    ->Arg(1)
-    ->Arg(hardware_threads())
+    ->Apply(bench::thread_args)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PopulationFabrication(benchmark::State& state) {
@@ -337,10 +327,7 @@ void BM_PopulationFabrication(benchmark::State& state) {
                           static_cast<std::int64_t>(kFleet));
 }
 BENCHMARK(BM_PopulationFabrication)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(hardware_threads())
+    ->Apply(bench::thread_args)
     ->Unit(benchmark::kMillisecond);
 
 void BM_UniquenessSweep(benchmark::State& state) {
@@ -358,10 +345,7 @@ void BM_UniquenessSweep(benchmark::State& state) {
                           pairs);
 }
 BENCHMARK(BM_UniquenessSweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(hardware_threads())
+    ->Apply(bench::thread_args)
     ->Unit(benchmark::kMillisecond);
 
 void BM_NistSuite4kBits(benchmark::State& state) {

@@ -129,10 +129,7 @@ void BM_ThermalSweepBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kPoints));
 }
 BENCHMARK(BM_ThermalSweepBatch)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(static_cast<int>(common::ThreadPool::default_thread_count()))
+    ->Apply(bench::thread_args)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ThermalEnvironmentStep(benchmark::State& state) {

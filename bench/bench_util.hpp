@@ -14,10 +14,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
+
+#include "common/parallel.hpp"
 
 namespace neuropuls::bench {
 
@@ -29,6 +33,25 @@ inline void banner(const std::string& experiment, const std::string& title) {
 
 inline void note(const std::string& text) {
   std::printf("  note: %s\n", text.c_str());
+}
+
+/// Pool widths for thread-scaling cases and tables: 1, 2, 4, plus the
+/// default pool width only when it is not already one of them, so no
+/// case name repeats on a 1-, 2- or 4-thread host.
+inline std::vector<std::size_t> thread_counts() {
+  std::vector<std::size_t> counts{1, 2, 4};
+  const std::size_t hw = common::ThreadPool::default_thread_count();
+  if (std::find(counts.begin(), counts.end(), hw) == counts.end()) {
+    counts.push_back(hw);
+  }
+  return counts;
+}
+
+/// Apply() hook: one Arg (the pool width) per thread_counts() entry.
+inline void thread_args(benchmark::internal::Benchmark* bench) {
+  for (const std::size_t threads : thread_counts()) {
+    bench->Arg(static_cast<std::int64_t>(threads));
+  }
 }
 
 /// Standard bench main body: print the paper tables, then run the

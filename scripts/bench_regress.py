@@ -18,18 +18,18 @@ Usage:
   bench_regress.py --check-schema FILE [FILE...]
       Validates that each file parses as google-benchmark JSON output
       (a `context` object and a non-empty `benchmarks` array whose
-      entries carry a name and a timing). Exit nonzero on the first
-      malformed file.
+      entries carry a name and a timing) and that no two non-aggregate
+      rows share a name and a `repetition_index` (a case registered
+      twice). Exit nonzero if any file is malformed.
 
   bench_regress.py --merge OUT.json IN.json [IN.json...]
       Concatenates the `benchmarks` arrays of several runs into one
       file (context taken from the first input) so per-binary smoke
       runs can be compared against one committed baseline.
 
-Only the Python standard library is used. Duplicate benchmark names
-within one file (e.g. an Arg(1) registered twice because
-hardware_threads() == 1) are aggregated by taking the best observed
-throughput.
+Only the Python standard library is used. Repetitions of one case
+(same name, distinct `repetition_index`) are folded to the best
+observed throughput.
 """
 
 from __future__ import annotations
@@ -57,10 +57,21 @@ def schema_errors(doc: dict, path: str) -> list[str]:
     if not isinstance(benches, list) or not benches:
         errors.append(f"{path}: missing or empty `benchmarks` array")
         return errors
+    seen: dict[tuple, int] = {}
     for i, bench in enumerate(benches):
         if not isinstance(bench, dict) or "name" not in bench:
             errors.append(f"{path}: benchmarks[{i}] has no name")
             continue
+        if bench.get("run_type") != "aggregate":
+            key = (bench["name"], bench.get("repetition_index"))
+            if key in seen:
+                errors.append(
+                    f"{path}: benchmarks[{i}] ({bench['name']}) repeats "
+                    f"benchmarks[{seen[key]}] (same name and "
+                    f"repetition_index)"
+                )
+            else:
+                seen[key] = i
         if not any(
             isinstance(bench.get(key), (int, float))
             for key in ("items_per_second", "real_time", "cpu_time")
@@ -86,7 +97,7 @@ def best_by_name(doc: dict) -> dict[str, float]:
     table: dict[str, float] = {}
     for bench in doc.get("benchmarks", []):
         # Aggregate runs (mean/median/stddev rows) out; compare raw
-        # iterations only, and fold duplicate names to their best run.
+        # iterations only, and fold repetitions to their best run.
         if bench.get("run_type") == "aggregate":
             continue
         rate = throughput(bench)

@@ -15,18 +15,21 @@
 #   scripts/check.sh native     # -DNEUROPULS_NATIVE=ON (lane kernels get
 #                               # the host ISA; ctest re-asserts lane/scalar
 #                               # bit-identity under FMA contraction)
-#   scripts/check.sh chaos      # fault-injection sweep only: runs the
-#                               # ctest label `chaos` (tests/chaos) under
-#                               # BOTH ASan and UBSan — held-frame queues,
-#                               # retry/backoff loops, and corrupted-blob
-#                               # parsing are exactly where lifetime and UB
-#                               # bugs would hide
+#   scripts/check.sh chaos      # fault-injection and abuse sweep: runs
+#                               # the ctest label `chaos` (tests/chaos:
+#                               # faulty links, flood storms, replay and
+#                               # half-open exhaustion) under BOTH ASan and
+#                               # UBSan — held-frame queues, retry/backoff
+#                               # loops, corrupted-blob parsing, and
+#                               # shedding/eviction of session lifetimes
+#                               # are exactly where lifetime and UB bugs
+#                               # would hide
 #   scripts/check.sh tsan       # concurrency sweep only: runs the ctest
 #                               # label `concurrency` (sharded CrpDatabase
 #                               # stress, SessionEngine determinism, reactor
 #                               # alloc/park-wake suites) under
 #                               # ThreadSanitizer — the shard locks and the
-#                               # engine's schedulers are the only
+#                               # engine's reactor are the only
 #                               # cross-thread surfaces in the stack
 #   scripts/check.sh reactor    # reactor sweep: one ThreadSanitizer build,
 #                               # then ctest -L concurrency under
@@ -41,13 +44,6 @@
 #                               # AddressSanitizer — recovery replays
 #                               # attacker-shaped byte images, exactly
 #                               # where lifetime bugs would hide
-#   scripts/check.sh abuse      # abuse-resistance sweep: runs the ctest
-#                               # label `chaos` (flood storms, replay and
-#                               # half-open exhaustion, park/wake churn)
-#                               # under AddressSanitizer — hostile-load
-#                               # shedding and eviction juggle session
-#                               # lifetimes, exactly where use-after-free
-#                               # bugs would hide
 #   scripts/check.sh fleet      # fleet-scale sweep: runs the ctest label
 #                               # `fleet` (streaming estimators, chunked
 #                               # uniqueness, FleetSimulator campaigns,
@@ -59,7 +55,8 @@
 #   scripts/check.sh lint       # static-analysis flavor: ctlint (all
 #                               # passes, empty-baseline gate) + fixture
 #                               # self-test, bench_regress schema
-#                               # self-check, clang-tidy over the exported
+#                               # self-check (and its duplicate-row
+#                               # negative check), clang-tidy over the exported
 #                               # compile database, and a Clang
 #                               # -Wthread-safety -Werror build of the
 #                               # whole tree. The clang-tidy and Clang
@@ -92,11 +89,10 @@ FLAVORS=(
   "address     full suite under AddressSanitizer"
   "undefined   full suite under UBSan"
   "native      full suite with -DNEUROPULS_NATIVE=ON (host-ISA lane kernels)"
-  "chaos       ctest -L chaos under ASan AND UBSan (fault injection)"
+  "chaos       ctest -L chaos under ASan AND UBSan (fault injection, floods)"
   "tsan        ctest -L concurrency under ThreadSanitizer"
   "reactor     ctest -L concurrency under TSan at NEUROPULS_THREADS=1 and =4"
   "durability  ctest -L io under ASan (durable CRP store, crash sweeps)"
-  "abuse       ctest -L chaos under ASan (flood storms, admission control)"
   "fleet       ctest -L fleet under ASan (fleet simulator, streaming metrics)"
   "lint        ctlint + fixtures + bench schema + clang-tidy/thread-safety"
 )
@@ -188,6 +184,20 @@ run_lint_flavor() {
   echo "==> [lint] bench_regress schema self-check (BENCH_baseline.json)"
   python3 scripts/bench_regress.py --check-schema BENCH_baseline.json
 
+  echo "==> [lint] bench_regress negative self-check (one row duplicated)"
+  local dup_json="${build_dir}/BENCH_duplicate_row.json"
+  python3 - BENCH_baseline.json "${dup_json}" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1], encoding="utf-8"))
+doc["benchmarks"].append(doc["benchmarks"][0])
+json.dump(doc, open(sys.argv[2], "w", encoding="utf-8"))
+PY
+  if python3 scripts/bench_regress.py --check-schema "${dup_json}" \
+      > /dev/null 2>&1; then
+    echo "==> [lint] FAILED: --check-schema accepted a duplicated row" >&2
+    return 1
+  fi
+
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> [lint] clang-tidy (compile database: ${build_dir})"
     # shellcheck disable=SC2046
@@ -235,9 +245,6 @@ for config in "${CONFIGS[@]}"; do
       ;;
     durability)
       run_config address io
-      ;;
-    abuse)
-      run_config address chaos
       ;;
     fleet)
       run_config address fleet

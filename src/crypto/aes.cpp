@@ -60,17 +60,7 @@ constexpr std::array<std::uint8_t, 256> make_sbox() {
   return table;
 }
 
-constexpr std::array<std::uint8_t, 256> make_inv_sbox() {
-  std::array<std::uint8_t, 256> inv{};
-  constexpr auto sbox = make_sbox();
-  for (int i = 0; i < 256; ++i) {
-    inv[sbox[static_cast<std::size_t>(i)]] = static_cast<std::uint8_t>(i);
-  }
-  return inv;
-}
-
 constexpr auto kSbox = make_sbox();
-constexpr auto kInvSbox = make_inv_sbox();
 
 constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04, 0x08,
                                                 0x10, 0x20, 0x40, 0x80, 0x1B,
@@ -78,10 +68,6 @@ constexpr std::array<std::uint8_t, 11> kRcon = {0x00, 0x01, 0x02, 0x04, 0x08,
 
 void sub_bytes(std::uint8_t* s) noexcept {
   for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
-}
-
-void inv_sub_bytes(std::uint8_t* s) noexcept {
-  for (int i = 0; i < 16; ++i) s[i] = kInvSbox[s[i]];
 }
 
 // State is column-major: s[4*c + r] is row r, column c.
@@ -95,16 +81,6 @@ void shift_rows(std::uint8_t* s) noexcept {
   }
 }
 
-void inv_shift_rows(std::uint8_t* s) noexcept {
-  std::uint8_t t[16];
-  std::memcpy(t, s, 16);
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[4 * ((c + r) % 4) + r] = t[4 * c + r];
-    }
-  }
-}
-
 void mix_columns(std::uint8_t* s) noexcept {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = s + 4 * c;
@@ -113,21 +89,6 @@ void mix_columns(std::uint8_t* s) noexcept {
     col[1] = static_cast<std::uint8_t>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
     col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
     col[3] = static_cast<std::uint8_t>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
-  }
-}
-
-void inv_mix_columns(std::uint8_t* s) noexcept {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = s + 4 * c;
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gf_mul(a0, 14) ^ gf_mul(a1, 11) ^
-                                       gf_mul(a2, 13) ^ gf_mul(a3, 9));
-    col[1] = static_cast<std::uint8_t>(gf_mul(a0, 9) ^ gf_mul(a1, 14) ^
-                                       gf_mul(a2, 11) ^ gf_mul(a3, 13));
-    col[2] = static_cast<std::uint8_t>(gf_mul(a0, 13) ^ gf_mul(a1, 9) ^
-                                       gf_mul(a2, 14) ^ gf_mul(a3, 11));
-    col[3] = static_cast<std::uint8_t>(gf_mul(a0, 11) ^ gf_mul(a1, 13) ^
-                                       gf_mul(a2, 9) ^ gf_mul(a3, 14));
   }
 }
 
@@ -208,21 +169,6 @@ void Aes::encrypt_blocks(std::uint8_t* blocks,
     shift_rows(s);
     add_round_key(s, rk_final);
   }
-}
-
-void Aes::decrypt_block(
-    std::span<std::uint8_t, kBlockSize> block) const noexcept {
-  std::uint8_t* s = block.data();
-  add_round_key(s, round_keys_.data() + 16 * rounds_);
-  for (std::size_t round = rounds_ - 1; round >= 1; --round) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, round_keys_.data());
 }
 
 std::uint8_t aes_sbox(std::uint8_t x) noexcept { return kSbox[x]; }

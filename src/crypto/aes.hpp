@@ -3,8 +3,8 @@
 // Table I of the paper specifies that the neural-network configuration,
 // inputs, and outputs cross the hardware boundary only in encrypted form.
 // The accelerator model (`src/accel`) uses AES-CTR for that bulk
-// encryption and CMAC as an authentication option; the CTR-DRBG in
-// `drbg.hpp` is also built on this block cipher.
+// encryption and CMAC as an authentication option. Only the forward
+// cipher exists: CTR and CMAC never run the block cipher backwards.
 //
 // This is a portable table-free implementation: SubBytes uses a
 // compile-time generated S-box, and MixColumns works on bytes, which keeps
@@ -36,9 +36,6 @@ class Aes {
   /// block pipelines interleave (CTR keystream generation is exactly this
   /// shape). Bit-identical to nblocks encrypt_block calls.
   void encrypt_blocks(std::uint8_t* blocks, std::size_t nblocks) const noexcept;
-
-  /// Decrypts one 16-byte block in place.
-  void decrypt_block(std::span<std::uint8_t, kBlockSize> block) const noexcept;
 
   std::size_t rounds() const noexcept { return rounds_; }
 

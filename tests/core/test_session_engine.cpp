@@ -3,8 +3,8 @@
 // concurrently produce byte-identical per-session transcripts and
 // reports to the same K sessions run serially through SessionDriver,
 // clean links and faulty links alike. Sessions share no mutable state,
-// so these tests are also the TSan probe for the engine's wave scheduler
-// (`scripts/check.sh tsan`).
+// so these tests are also the TSan probe for the engine's work-stealing
+// reactor (`scripts/check.sh tsan`).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -99,15 +99,12 @@ void run_serial(std::size_t sessions, double drop_rate,
 }
 
 // Runs the same K sessions through the engine with the given in-flight
-// width, thread count, and scheduler mode (reactor by default — the
-// byte-identity assertions below are thereby the reactor's determinism
-// contract; kDeterministic pins the legacy wave scheduler to the same
-// contract).
+// width and thread count; the byte-identity assertions below are thereby
+// the reactor's determinism contract.
 void run_engine(std::size_t sessions, double drop_rate, std::size_t in_flight,
                 std::size_t threads,
                 std::vector<crypto::Bytes>& transcripts,
-                std::vector<SessionReport>& reports,
-                core::EngineMode mode = core::EngineMode::kReactor) {
+                std::vector<SessionReport>& reports) {
   std::vector<std::unique_ptr<AuthFixture>> fixtures;
   for (std::size_t k = 0; k < sessions; ++k) {
     fixtures.push_back(make_auth_fixture(1000 + k, drop_rate, 0xF00 + k));
@@ -115,7 +112,6 @@ void run_engine(std::size_t sessions, double drop_rate, std::size_t in_flight,
   common::ThreadPool pool(threads);
   SessionEngineConfig config;
   config.max_in_flight = in_flight;
-  config.mode = mode;
   SessionEngine engine(pool, config);
   const RetryPolicy policy;  // seed overridden per session via submit()
   for (std::size_t k = 0; k < sessions; ++k) {
@@ -146,17 +142,27 @@ TEST(SessionEngineConcurrency, CleanLinkMatchesSerialByteForByte) {
   }
 }
 
+// The reactor against the serial driver over the same faulty links, on
+// one worker and on several (steals and cross-thread wakes only happen
+// with more than one).
 TEST(SessionEngineConcurrency, FaultyLinkMatchesSerialByteForByte) {
   constexpr std::size_t kSessions = 8;
   constexpr double kDrop = 0.10;
-  std::vector<crypto::Bytes> serial_t, engine_t;
-  std::vector<SessionReport> serial_r, engine_r;
+  std::vector<crypto::Bytes> serial_t;
+  std::vector<SessionReport> serial_r;
   run_serial(kSessions, kDrop, serial_t, serial_r);
-  run_engine(kSessions, kDrop, /*in_flight=*/4, /*threads=*/2,
-             engine_t, engine_r);
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    EXPECT_EQ(serial_t[k], engine_t[k]) << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], engine_r[k])) << "session " << k;
+  for (const std::size_t threads : {1u, 4u}) {
+    std::vector<crypto::Bytes> engine_t;
+    std::vector<SessionReport> engine_r;
+    run_engine(kSessions, kDrop, /*in_flight=*/4, threads, engine_t,
+               engine_r);
+    ASSERT_EQ(engine_r.size(), kSessions);
+    for (std::size_t k = 0; k < kSessions; ++k) {
+      EXPECT_EQ(serial_t[k], engine_t[k])
+          << "session " << k << " threads " << threads;
+      EXPECT_TRUE(reports_equal(serial_r[k], engine_r[k]))
+          << "session " << k << " threads " << threads;
+    }
   }
 }
 
@@ -180,27 +186,6 @@ TEST(SessionEngineConcurrency, ScheduleShapeCannotChangeResults) {
         EXPECT_TRUE(reports_equal(base_r[k], r[k])) << "session " << k;
       }
     }
-  }
-}
-
-// The wave scheduler (deterministic mode) and the reactor must both be
-// invisible scheduling transforms: serial, wave, and reactor runs agree
-// byte-for-byte over the same faulty links.
-TEST(SessionEngineConcurrency, WaveModeMatchesReactorAndSerial) {
-  constexpr std::size_t kSessions = 8;
-  constexpr double kDrop = 0.10;
-  std::vector<crypto::Bytes> serial_t, wave_t, reactor_t;
-  std::vector<SessionReport> serial_r, wave_r, reactor_r;
-  run_serial(kSessions, kDrop, serial_t, serial_r);
-  run_engine(kSessions, kDrop, /*in_flight=*/4, /*threads=*/2, wave_t, wave_r,
-             core::EngineMode::kDeterministic);
-  run_engine(kSessions, kDrop, /*in_flight=*/4, /*threads=*/2, reactor_t,
-             reactor_r, core::EngineMode::kReactor);
-  for (std::size_t k = 0; k < kSessions; ++k) {
-    EXPECT_EQ(serial_t[k], wave_t[k]) << "wave session " << k;
-    EXPECT_EQ(serial_t[k], reactor_t[k]) << "reactor session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], wave_r[k])) << "session " << k;
-    EXPECT_TRUE(reports_equal(serial_r[k], reactor_r[k])) << "session " << k;
   }
 }
 

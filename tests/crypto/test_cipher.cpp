@@ -15,8 +15,6 @@ TEST(Aes, Fips197Aes128) {
   Aes cipher(key);
   cipher.encrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
   EXPECT_EQ(to_hex(block), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  cipher.decrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
-  EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes, Fips197Aes192) {
@@ -34,8 +32,6 @@ TEST(Aes, Fips197Aes256) {
   Aes cipher(key);
   cipher.encrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
   EXPECT_EQ(to_hex(block), "8ea2b7ca516745bfeafc49904b496089");
-  cipher.decrypt_block(std::span<std::uint8_t, 16>(block.data(), 16));
-  EXPECT_EQ(to_hex(block), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes, RejectsBadKeySize) {

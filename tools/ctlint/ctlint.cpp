@@ -364,7 +364,7 @@ void check_file(const std::string& display_path, const ParsedFile& file,
       if (kBannedRandom.count(t)) {
         emit(line_no, "std-rand",
              "libc randomness '" + t +
-                 "' is banned; use ChaChaDrbg/CtrDrbg");
+                 "' is banned; use ChaChaDrbg");
       }
       if (kBannedWipe.count(t)) {
         emit(line_no, "raw-memset-wipe",
