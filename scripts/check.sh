@@ -10,7 +10,11 @@
 # Usage:
 #   scripts/check.sh            # plain + address + undefined + native
 #   scripts/check.sh plain      # one configuration only
-#   scripts/check.sh address
+#   scripts/check.sh address    # full suite, so every label (io, fleet,
+#                               # fuzz, ...) runs under ASan; rerun one
+#                               # label from the same tree without a
+#                               # rebuild: ctest --test-dir
+#                               # build-check/address -L io
 #   scripts/check.sh undefined
 #   scripts/check.sh native     # -DNEUROPULS_NATIVE=ON (lane kernels get
 #                               # the host ISA; ctest re-asserts lane/scalar
@@ -37,21 +41,6 @@
 #                               # degenerate reactor) and =4 (real steal and
 #                               # park/wake traffic) — the two widths where
 #                               # scheduler bugs live
-#   scripts/check.sh durability # durable-store sweep: runs the ctest
-#                               # label `io` (POSIX io layer, durable CRP
-#                               # store round trips, crash-point
-#                               # truncation/corruption sweeps) under
-#                               # AddressSanitizer — recovery replays
-#                               # attacker-shaped byte images, exactly
-#                               # where lifetime bugs would hide
-#   scripts/check.sh fleet      # fleet-scale sweep: runs the ctest label
-#                               # `fleet` (streaming estimators, chunked
-#                               # uniqueness, FleetSimulator campaigns,
-#                               # crash/resume rotation) under
-#                               # AddressSanitizer — bulk enrollment
-#                               # staging and per-wave fixture reuse are
-#                               # exactly where buffer-lifetime bugs would
-#                               # hide
 #   scripts/check.sh lint       # static-analysis flavor: ctlint (all
 #                               # passes, empty-baseline gate) + fixture
 #                               # self-test, bench_regress schema
@@ -92,8 +81,6 @@ FLAVORS=(
   "chaos       ctest -L chaos under ASan AND UBSan (fault injection, floods)"
   "tsan        ctest -L concurrency under ThreadSanitizer"
   "reactor     ctest -L concurrency under TSan at NEUROPULS_THREADS=1 and =4"
-  "durability  ctest -L io under ASan (durable CRP store, crash sweeps)"
-  "fleet       ctest -L fleet under ASan (fleet simulator, streaming metrics)"
   "lint        ctlint + fixtures + bench schema + clang-tidy/thread-safety"
 )
 
@@ -242,12 +229,6 @@ for config in "${CONFIGS[@]}"; do
       ;;
     tsan)
       run_config thread concurrency
-      ;;
-    durability)
-      run_config address io
-      ;;
-    fleet)
-      run_config address fleet
       ;;
     reactor)
       # One TSan build tree, swept at two pool widths: the second

@@ -1,7 +1,6 @@
 #include "accel/network.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "crypto/prng.hpp"
@@ -11,55 +10,9 @@ namespace neuropuls::accel {
 namespace {
 
 constexpr std::uint32_t kFormatVersion = 1;
-
-void append_f64(crypto::Bytes& out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, 8);
-  // Little-endian on the wire.
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-  }
-}
-
-class Reader {
- public:
-  explicit Reader(crypto::ByteView data) : data_(data) {}
-
-  std::uint32_t u32() {
-    require(4);
-    const std::uint32_t v = crypto::get_u32_be(data_.subspan(pos_, 4));
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint8_t u8() {
-    require(1);
-    return data_[pos_++];
-  }
-
-  double f64() {
-    require(8);
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)]) << (8 * i);
-    }
-    pos_ += 8;
-    double value;
-    std::memcpy(&value, &bits, 8);
-    return value;
-  }
-
-  bool exhausted() const noexcept { return pos_ == data_.size(); }
-
- private:
-  void require(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
-      throw std::runtime_error("network blob truncated");
-    }
-  }
-  crypto::ByteView data_;
-  std::size_t pos_ = 0;
-};
+// Smallest encoded layer: u32 inputs, u32 outputs, u8 activation, one
+// weight and one bias.
+constexpr std::size_t kMinLayerBytes = 4 + 4 + 1 + 8 + 8;
 
 }  // namespace
 
@@ -110,64 +63,59 @@ crypto::Bytes serialize_network(const MlpNetwork& network) {
     crypto::append_u32_be(out, static_cast<std::uint32_t>(layer.inputs));
     crypto::append_u32_be(out, static_cast<std::uint32_t>(layer.outputs));
     out.push_back(static_cast<std::uint8_t>(layer.activation));
-    for (double w : layer.weights) append_f64(out, w);
-    for (double b : layer.biases) append_f64(out, b);
+    for (double w : layer.weights) crypto::append_f64_le(out, w);
+    for (double b : layer.biases) crypto::append_f64_le(out, b);
   }
   return out;
 }
 
 MlpNetwork deserialize_network(crypto::ByteView blob) {
-  Reader reader(blob);
-  if (reader.u32() != kFormatVersion) {
-    throw std::runtime_error("network blob: unsupported version");
-  }
+  crypto::ByteReader reader(blob, "network blob");
+  if (reader.u32() != kFormatVersion) reader.fail("unsupported version");
   const std::uint32_t layer_count = reader.u32();
   if (layer_count == 0 || layer_count > 1024) {
-    throw std::runtime_error("network blob: implausible layer count");
+    reader.fail("implausible layer count");
   }
   MlpNetwork network;
-  network.layers.resize(layer_count);
-  for (auto& layer : network.layers) {
+  network.layers.resize(reader.count(layer_count, kMinLayerBytes));
+  for (std::size_t l = 0; l < network.layers.size(); ++l) {
+    Layer& layer = network.layers[l];
     layer.inputs = reader.u32();
     layer.outputs = reader.u32();
     if (layer.inputs == 0 || layer.outputs == 0 ||
         layer.inputs > 1u << 20 || layer.outputs > 1u << 20) {
-      throw std::runtime_error("network blob: implausible layer shape");
+      reader.fail("implausible layer shape");
+    }
+    if (l > 0 && layer.inputs != network.layers[l - 1].outputs) {
+      reader.fail("layer shapes do not chain");
     }
     layer.activation = static_cast<Activation>(reader.u8());
     if (static_cast<std::uint8_t>(layer.activation) > 3) {
-      throw std::runtime_error("network blob: unknown activation");
+      reader.fail("unknown activation");
     }
-    layer.weights.resize(layer.inputs * layer.outputs);
+    layer.weights.resize(reader.count(layer.inputs * layer.outputs, 8));
     for (auto& w : layer.weights) w = reader.f64();
-    layer.biases.resize(layer.outputs);
+    layer.biases.resize(reader.count(layer.outputs, 8));
     for (auto& b : layer.biases) b = reader.f64();
   }
-  if (!reader.exhausted()) {
-    throw std::runtime_error("network blob: trailing bytes");
-  }
-  network.validate();
+  if (!reader.done()) reader.fail("trailing bytes");
   return network;
 }
 
 crypto::Bytes serialize_vector(const std::vector<double>& values) {
   crypto::Bytes out;
   crypto::append_u32_be(out, static_cast<std::uint32_t>(values.size()));
-  for (double v : values) append_f64(out, v);
+  for (double v : values) crypto::append_f64_le(out, v);
   return out;
 }
 
 std::vector<double> deserialize_vector(crypto::ByteView blob) {
-  Reader reader(blob);
+  crypto::ByteReader reader(blob, "vector blob");
   const std::uint32_t count = reader.u32();
-  if (count > 1u << 24) {
-    throw std::runtime_error("vector blob: implausible size");
-  }
-  std::vector<double> values(count);
+  if (count > 1u << 24) reader.fail("implausible size");
+  std::vector<double> values(reader.count(count, 8));
   for (auto& v : values) v = reader.f64();
-  if (!reader.exhausted()) {
-    throw std::runtime_error("vector blob: trailing bytes");
-  }
+  if (!reader.done()) reader.fail("trailing bytes");
   return values;
 }
 

@@ -236,36 +236,6 @@ AuthVerifier::Outcome AuthVerifier::process_response(
   return outcome;
 }
 
-crypto::Bytes serialize_crp(const ProvisionedCrp& crp) {
-  crypto::Bytes out;
-  crypto::append_u32_be(out, static_cast<std::uint32_t>(crp.challenge.size()));
-  out.insert(out.end(), crp.challenge.begin(), crp.challenge.end());
-  crypto::append_u32_be(out, static_cast<std::uint32_t>(crp.response.size()));
-  out.insert(out.end(), crp.response.begin(), crp.response.end());
-  return out;
-}
-
-ProvisionedCrp deserialize_crp(crypto::ByteView blob) {
-  if (blob.size() < 8) {
-    throw std::runtime_error("deserialize_crp: truncated");
-  }
-  const std::uint32_t chal_len = crypto::get_u32_be(blob.first(4));
-  if (blob.size() < 4 + chal_len + 4 || chal_len > (1u << 20)) {
-    throw std::runtime_error("deserialize_crp: bad challenge length");
-  }
-  ProvisionedCrp crp;
-  crp.challenge.assign(blob.begin() + 4,
-                       blob.begin() + 4 + static_cast<std::ptrdiff_t>(chal_len));
-  const std::uint32_t resp_len =
-      crypto::get_u32_be(blob.subspan(4 + chal_len, 4));
-  if (blob.size() != 4 + chal_len + 4 + resp_len) {
-    throw std::runtime_error("deserialize_crp: length mismatch");
-  }
-  crp.response.assign(blob.begin() + 4 + static_cast<std::ptrdiff_t>(chal_len) + 4,
-                      blob.end());
-  return crp;
-}
-
 ProvisioningResult provision(puf::Puf& puf, crypto::ChaChaDrbg& rng) {
   ProvisioningResult result;
   result.device_crp.challenge = rng.generate(puf.challenge_bytes());

@@ -154,13 +154,6 @@ class AuthVerifier {
   bool session_complete_ = false;
 };
 
-/// Persists a provisioned CRP for device NVM / verifier database.
-/// Format: u32 challenge-len || challenge || u32 response-len || response.
-crypto::Bytes serialize_crp(const ProvisionedCrp& crp);
-
-/// Parses a persisted CRP. Throws std::runtime_error on malformed input.
-ProvisionedCrp deserialize_crp(crypto::ByteView blob);
-
 /// Factory performing the manufacturing-time step: evaluates the PUF on a
 /// random challenge and hands matching state to both parties.
 struct ProvisioningResult {

@@ -140,6 +140,18 @@ void append_u32_be(Bytes& out, std::uint32_t value) {
   out.insert(out.end(), buf, buf + 4);
 }
 
+void append_f64_le(Bytes& out, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+}
+
+void append_prefixed(Bytes& out, ByteView data) {
+  append_u32_be(out, static_cast<std::uint32_t>(data.size()));
+  out.insert(out.end(), data.begin(), data.end());
+}
+
 double fractional_hamming_distance(ByteView a, ByteView b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("fractional_hamming_distance: length mismatch");

@@ -6,8 +6,16 @@
 // hex encoding for logs and test vectors, constant-time comparison for tag
 // checks, and XOR combination used by the Fig. 4 mutual-authentication
 // protocol (`r_{i+1} ^ r_i`) and the code-offset fuzzy extractor.
+//
+// `ByteReader` is the one decoder cursor: every byte format that crosses a
+// trust boundary (message frames, network and vector blobs, helper data,
+// WAL records, snapshots, the manifest) is parsed through it. Every read
+// is bounds-checked, and every element count taken from input is checked
+// against the bytes left before the caller sizes a container. Encoders
+// are the free `append_*` functions below.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -71,6 +79,65 @@ std::uint64_t get_u64_be(ByteView in) noexcept;
 /// Big-endian u64 appended to a buffer (protocol framing helper).
 void append_u64_be(Bytes& out, std::uint64_t value);
 void append_u32_be(Bytes& out, std::uint32_t value);
+/// IEEE-754 double appended little-endian (the network blob's float
+/// encoding).
+void append_f64_le(Bytes& out, double value);
+/// u32 big-endian length, then the bytes: the inverse of
+/// `ByteReader::prefixed()`.
+void append_prefixed(Bytes& out, ByteView data);
+
+/// Bounds-checked read cursor over an input buffer. Every read past the
+/// end, and every count that cannot fit in the bytes left, throws `Error`
+/// with a message prefixed by `what`, so malformed input surfaces as the
+/// decoder's documented exception, never as out-of-bounds reads or huge
+/// allocations. Returned views alias the input; `what` must outlive the
+/// reader (decoders pass a string literal).
+template <typename Error = std::runtime_error>
+class ByteReader {
+ public:
+  ByteReader(ByteView data, const char* what) : data_(data), what_(what) {}
+
+  ByteView bytes(std::size_t n) {
+    if (data_.size() - pos_ < n) fail("truncated");
+    const ByteView view = data_.subspan(pos_, n);
+    pos_ += n;
+    return view;
+  }
+  std::uint8_t u8() { return bytes(1)[0]; }
+  std::uint32_t u32() { return get_u32_be(bytes(4)); }
+  std::uint64_t u64() { return get_u64_be(bytes(8)); }
+  /// Little-endian IEEE-754 double (the network blob's float encoding).
+  double f64() {
+    const ByteView raw = bytes(8);
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bits |= static_cast<std::uint64_t>(raw[i]) << (8 * i);
+    }
+    return std::bit_cast<double>(bits);
+  }
+  /// A u32 length, then that many bytes.
+  ByteView prefixed() { return bytes(u32()); }
+
+  /// Returns `n` if `n` items of at least `min_item_bytes` (> 0) each can
+  /// fit in the bytes left; throws otherwise. Call before sizing a
+  /// container.
+  std::size_t count(std::uint64_t n, std::size_t min_item_bytes) const {
+    if (n > remaining() / min_item_bytes) fail("count exceeds input");
+    return static_cast<std::size_t>(n);
+  }
+
+  std::size_t remaining() const noexcept { return data_.size() - pos_; }
+  bool done() const noexcept { return pos_ == data_.size(); }
+
+  [[noreturn]] void fail(std::string_view why) const {
+    throw Error(std::string(what_) + ": " + std::string(why));
+  }
+
+ private:
+  ByteView data_;
+  std::size_t pos_ = 0;
+  const char* what_;
+};
 
 /// Fraction of positions at which two equal-length buffers differ,
 /// counted bit-wise. This is the "fractional Hamming distance" the paper

@@ -71,32 +71,22 @@ crypto::Bytes serialize_helper(const HelperData& helper) {
   crypto::append_u32_be(out, static_cast<std::uint32_t>(helper.sketch.size()));
   const crypto::Bytes packed = pack_bits(helper.sketch);
   out.insert(out.end(), packed.begin(), packed.end());
-  crypto::append_u32_be(out, static_cast<std::uint32_t>(helper.salt.size()));
-  out.insert(out.end(), helper.salt.begin(), helper.salt.end());
+  crypto::append_prefixed(out, helper.salt);
   return out;
 }
 
 HelperData deserialize_helper(crypto::ByteView blob) {
-  if (blob.size() < 8) {
-    throw std::runtime_error("deserialize_helper: truncated");
-  }
-  const std::uint32_t sketch_bits = crypto::get_u32_be(blob.first(4));
+  crypto::ByteReader reader(blob, "deserialize_helper");
+  const std::uint32_t sketch_bits = reader.u32();
   if (sketch_bits == 0 || sketch_bits > (1u << 24)) {
-    throw std::runtime_error("deserialize_helper: implausible sketch size");
-  }
-  const std::size_t sketch_bytes = (sketch_bits + 7) / 8;
-  if (blob.size() < 4 + sketch_bytes + 4) {
-    throw std::runtime_error("deserialize_helper: truncated sketch");
+    reader.fail("implausible sketch size");
   }
   HelperData helper;
-  helper.sketch = unpack_bits(blob.subspan(4, sketch_bytes), sketch_bits);
-  const std::uint32_t salt_len =
-      crypto::get_u32_be(blob.subspan(4 + sketch_bytes, 4));
-  if (blob.size() != 4 + sketch_bytes + 4 + salt_len) {
-    throw std::runtime_error("deserialize_helper: length mismatch");
-  }
-  helper.salt.assign(blob.begin() + 4 + static_cast<std::ptrdiff_t>(sketch_bytes) + 4,
-                     blob.end());
+  helper.sketch =
+      unpack_bits(reader.bytes((sketch_bits + 7) / 8), sketch_bits);
+  const crypto::ByteView salt = reader.prefixed();
+  if (!reader.done()) reader.fail("length mismatch");
+  helper.salt.assign(salt.begin(), salt.end());
   return helper;
 }
 

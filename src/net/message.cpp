@@ -1,7 +1,5 @@
 #include "net/message.hpp"
 
-#include <stdexcept>
-
 namespace neuropuls::net {
 
 crypto::Bytes encode_message(const Message& message) {
@@ -9,24 +7,18 @@ crypto::Bytes encode_message(const Message& message) {
   wire.reserve(13 + message.payload.size());
   wire.push_back(static_cast<std::uint8_t>(message.type));
   crypto::append_u64_be(wire, message.session_id);
-  crypto::append_u32_be(wire,
-                        static_cast<std::uint32_t>(message.payload.size()));
-  wire.insert(wire.end(), message.payload.begin(), message.payload.end());
+  crypto::append_prefixed(wire, message.payload);
   return wire;
 }
 
 Message decode_message(crypto::ByteView wire) {
-  if (wire.size() < 13) {
-    throw std::runtime_error("decode_message: truncated header");
-  }
+  crypto::ByteReader reader(wire, "decode_message");
   Message message;
-  message.type = static_cast<MessageType>(wire[0]);
-  message.session_id = crypto::get_u64_be(wire.subspan(1, 8));
-  const std::uint32_t length = crypto::get_u32_be(wire.subspan(9, 4));
-  if (wire.size() != 13 + static_cast<std::size_t>(length)) {
-    throw std::runtime_error("decode_message: length mismatch");
-  }
-  message.payload.assign(wire.begin() + 13, wire.end());
+  message.type = static_cast<MessageType>(reader.u8());
+  message.session_id = reader.u64();
+  const crypto::ByteView payload = reader.prefixed();
+  if (!reader.done()) reader.fail("length mismatch");
+  message.payload.assign(payload.begin(), payload.end());
   return message;
 }
 

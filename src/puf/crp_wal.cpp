@@ -48,66 +48,49 @@ std::size_t begin_record(crypto::Bytes& out, RecordType type,
   out.resize(out.size() + kRecordHeaderBytes);  // sealed by seal_record
   out.push_back(static_cast<std::uint8_t>(type));
   crypto::append_u64_be(out, seq);
-  crypto::append_u32_be(out, static_cast<std::uint32_t>(challenge.size()));
-  out.insert(out.end(), challenge.begin(), challenge.end());
+  crypto::append_prefixed(out, challenge);
   return header_start;
 }
 
-/// Cursor over a payload or snapshot body; all read_* throw CrpStoreError
-/// past the end so malformed structure surfaces as corruption, never UB.
-struct Reader {
-  crypto::ByteView data;
-  std::size_t pos = 0;
-  const char* what;
+// Malformed structure surfaces as store corruption, never as UB.
+using StoreReader = crypto::ByteReader<CrpStoreError>;
 
-  [[noreturn]] void fail() const {
-    throw CrpStoreError(std::string(what) + ": truncated structure");
-  }
-  crypto::ByteView read_bytes(std::size_t n) {
-    if (data.size() - pos < n) fail();
-    const crypto::ByteView view = data.subspan(pos, n);
-    pos += n;
-    return view;
-  }
-  std::uint8_t read_u8() { return read_bytes(1)[0]; }
-  std::uint32_t read_u32() { return crypto::get_u32_be(read_bytes(4)); }
-  std::uint64_t read_u64() { return crypto::get_u64_be(read_bytes(8)); }
-  CrpHealth read_health() {
-    CrpHealth health;
-    health.successes = read_u32();
-    health.failures = read_u32();
-    health.consecutive_failures = read_u32();
-    health.quarantined = read_u8() != 0;
-    return health;
-  }
-  bool done() const noexcept { return pos == data.size(); }
-};
+// Smallest snapshot entry: empty challenge and response, then the three
+// u32 health counters and the quarantine byte.
+constexpr std::size_t kMinEntryBytes = 4 + 4 + 13;
+
+CrpHealth read_health(StoreReader& reader) {
+  CrpHealth health;
+  health.successes = reader.u32();
+  health.failures = reader.u32();
+  health.consecutive_failures = reader.u32();
+  health.quarantined = reader.u8() != 0;
+  return health;
+}
 
 RecordView parse_payload(crypto::ByteView payload) {
-  Reader reader{payload, 0, "wal record"};
+  StoreReader reader(payload, "wal record");
   RecordView record;
-  const std::uint8_t type = reader.read_u8();
+  const std::uint8_t type = reader.u8();
   if (type < static_cast<std::uint8_t>(RecordType::kInsert) ||
       type > static_cast<std::uint8_t>(RecordType::kEvict)) {
-    throw CrpStoreError("wal record: unknown type " + std::to_string(type));
+    reader.fail("unknown type " + std::to_string(type));
   }
   record.type = static_cast<RecordType>(type);
-  record.seq = reader.read_u64();
-  record.challenge = reader.read_bytes(reader.read_u32());
+  record.seq = reader.u64();
+  record.challenge = reader.prefixed();
   switch (record.type) {
     case RecordType::kInsert:
-      record.response = reader.read_bytes(reader.read_u32());
+      record.response = reader.prefixed();
       break;
     case RecordType::kHealth:
-      record.health = reader.read_health();
+      record.health = read_health(reader);
       break;
     case RecordType::kTake:
     case RecordType::kEvict:
       break;
   }
-  if (!reader.done()) {
-    throw CrpStoreError("wal record: trailing bytes in payload");
-  }
+  if (!reader.done()) reader.fail("trailing bytes in payload");
   return record;
 }
 
@@ -118,8 +101,7 @@ void append_insert_record(crypto::Bytes& out, std::uint64_t seq,
                           crypto::ByteView response) {
   const std::size_t start = begin_record(out, RecordType::kInsert, seq,
                                          challenge);
-  crypto::append_u32_be(out, static_cast<std::uint32_t>(response.size()));
-  out.insert(out.end(), response.begin(), response.end());
+  crypto::append_prefixed(out, response);
   seal_record(out, start);
 }
 
@@ -143,38 +125,31 @@ void append_evict_record(crypto::Bytes& out, std::uint64_t seq,
 
 WalDecodeResult decode_wal(crypto::ByteView image) {
   WalDecodeResult result;
-  std::size_t pos = 0;
-  while (pos < image.size()) {
-    const std::size_t remaining = image.size() - pos;
-    if (remaining < kRecordHeaderBytes) break;  // torn header at the tail
-    const std::uint32_t len = crypto::get_u32_be(image.subspan(pos, 4));
-    const std::uint32_t check = crypto::get_u32_be(image.subspan(pos + 4, 4));
-    if ((len ^ kLenCheck) != check) {
+  StoreReader reader(image, "wal");
+  std::size_t pos = 0;  // end of the last valid record
+  while (reader.remaining() >= kRecordHeaderBytes) {
+    const std::uint32_t len = reader.u32();
+    if ((len ^ kLenCheck) != reader.u32()) {
       // The self-checking length survived in full but does not verify:
       // this is damage, not a torn append.
-      throw CrpStoreError("wal: corrupt record length at offset " +
-                          std::to_string(pos));
+      reader.fail("corrupt record length at offset " + std::to_string(pos));
     }
     if (len > kMaxRecordBytes) {
-      throw CrpStoreError("wal: implausible record length at offset " +
-                          std::to_string(pos));
+      reader.fail("implausible record length at offset " +
+                  std::to_string(pos));
     }
-    if (remaining < kRecordHeaderBytes + len) break;  // torn payload
-    const crypto::ByteView payload =
-        image.subspan(pos + kRecordHeaderBytes, len);
-    const std::uint64_t sum =
-        crypto::get_u64_be(image.subspan(pos + 8, 8));
+    const std::uint64_t sum = reader.u64();
+    if (reader.remaining() < len) break;  // torn payload
+    const crypto::ByteView payload = reader.bytes(len);
     if (crypto::siphash24(kWalKey, payload) != sum) {
-      throw CrpStoreError("wal: record checksum mismatch at offset " +
-                          std::to_string(pos));
+      reader.fail("record checksum mismatch at offset " + std::to_string(pos));
     }
     RecordView record = parse_payload(payload);
     if (!result.records.empty() && record.seq <= result.records.back().seq) {
-      throw CrpStoreError("wal: non-monotonic sequence at offset " +
-                          std::to_string(pos));
+      reader.fail("non-monotonic sequence at offset " + std::to_string(pos));
     }
     result.records.push_back(record);
-    pos += kRecordHeaderBytes + len;
+    pos = image.size() - reader.remaining();
   }
   result.valid_bytes = pos;
   result.torn_bytes = image.size() - pos;
@@ -190,10 +165,8 @@ SnapshotBuilder::SnapshotBuilder(std::uint32_t shard_index,
 
 void SnapshotBuilder::add(crypto::ByteView challenge,
                           crypto::ByteView response, const CrpHealth& health) {
-  crypto::append_u32_be(buffer_, static_cast<std::uint32_t>(challenge.size()));
-  buffer_.insert(buffer_.end(), challenge.begin(), challenge.end());
-  crypto::append_u32_be(buffer_, static_cast<std::uint32_t>(response.size()));
-  buffer_.insert(buffer_.end(), response.begin(), response.end());
+  crypto::append_prefixed(buffer_, challenge);
+  crypto::append_prefixed(buffer_, response);
   append_health_fields(buffer_, health);
   ++entries_;
 }
@@ -228,27 +201,22 @@ SnapshotView decode_snapshot(crypto::ByteView image) {
   if (!crypto::ct_equal(digest, trailer)) {
     throw CrpStoreError("snapshot: SHA-256 trailer mismatch");
   }
-  Reader reader{body, 0, "snapshot"};
-  const crypto::ByteView magic = reader.read_bytes(kSnapshotMagicBytes);
+  StoreReader reader(body, "snapshot");
+  const crypto::ByteView magic = reader.bytes(kSnapshotMagicBytes);
   if (!std::equal(magic.begin(), magic.end(), std::begin(kSnapshotMagic))) {
-    throw CrpStoreError("snapshot: bad magic");
+    reader.fail("bad magic");
   }
   SnapshotView view;
-  view.shard_index = reader.read_u32();
-  view.shard_count = reader.read_u32();
-  view.wal_seq = reader.read_u64();
-  const std::uint64_t count = reader.read_u64();
-  view.entries.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SnapshotEntryView entry;
-    entry.challenge = reader.read_bytes(reader.read_u32());
-    entry.response = reader.read_bytes(reader.read_u32());
-    entry.health = reader.read_health();
-    view.entries.push_back(entry);
+  view.shard_index = reader.u32();
+  view.shard_count = reader.u32();
+  view.wal_seq = reader.u64();
+  view.entries.resize(reader.count(reader.u64(), kMinEntryBytes));
+  for (SnapshotEntryView& entry : view.entries) {
+    entry.challenge = reader.prefixed();
+    entry.response = reader.prefixed();
+    entry.health = read_health(reader);
   }
-  if (!reader.done()) {
-    throw CrpStoreError("snapshot: trailing bytes after entries");
-  }
+  if (!reader.done()) reader.fail("trailing bytes after entries");
   return view;
 }
 
@@ -273,18 +241,16 @@ Manifest decode_manifest(crypto::ByteView image) {
   if (crypto::siphash24(kWalKey, body) != crypto::get_u64_be(image.last(8))) {
     throw CrpStoreError("manifest: checksum mismatch");
   }
-  Reader reader{body, 0, "manifest"};
-  const crypto::ByteView magic = reader.read_bytes(8);
+  StoreReader reader(body, "manifest");
+  const crypto::ByteView magic = reader.bytes(8);
   if (!std::equal(magic.begin(), magic.end(), std::begin(kManifestMagic))) {
-    throw CrpStoreError("manifest: bad magic");
+    reader.fail("bad magic");
   }
-  if (reader.read_u32() != kManifestVersion) {
-    throw CrpStoreError("manifest: unsupported version");
-  }
+  if (reader.u32() != kManifestVersion) reader.fail("unsupported version");
   Manifest manifest;
-  manifest.generation = reader.read_u64();
-  manifest.shard_count = reader.read_u32();
-  manifest.take_cursor = reader.read_u64();
+  manifest.generation = reader.u64();
+  manifest.shard_count = reader.u32();
+  manifest.take_cursor = reader.u64();
   return manifest;
 }
 

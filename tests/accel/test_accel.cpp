@@ -57,6 +57,19 @@ TEST(Network, DeserializeRejectsGarbage) {
   auto wrong_version = serialize_network(tiny_network());
   wrong_version[3] = 9;
   EXPECT_THROW(deserialize_network(wrong_version), std::runtime_error);
+  // Well-formed layers whose shapes do not chain (1->1, then 2->1).
+  crypto::Bytes unchained;
+  crypto::append_u32_be(unchained, 1);  // version
+  crypto::append_u32_be(unchained, 2);  // layer count
+  for (const std::uint32_t inputs : {1u, 2u}) {
+    crypto::append_u32_be(unchained, inputs);
+    crypto::append_u32_be(unchained, 1);
+    unchained.push_back(0);
+    for (std::uint32_t i = 0; i <= inputs; ++i) {
+      crypto::append_f64_le(unchained, 0.5);  // weights, then the bias
+    }
+  }
+  EXPECT_THROW(deserialize_network(unchained), std::runtime_error);
 }
 
 TEST(Network, VectorRoundTrip) {

@@ -261,32 +261,6 @@ TEST(MutualAuth, MalformedInputsRejectedWithoutStateChange) {
   EXPECT_EQ(outcome.status, AuthStatus::kBadSession);
 }
 
-TEST(CrpSerialization, RoundTripAndValidation) {
-  Harness s = make_harness();
-  crypto::ChaChaDrbg rng(crypto::bytes_of("crp-ser"));
-  const auto provisioned = provision(*s.puf, rng);
-
-  const crypto::Bytes blob = serialize_crp(provisioned.device_crp);
-  const ProvisionedCrp restored = deserialize_crp(blob);
-  EXPECT_EQ(restored.challenge, provisioned.device_crp.challenge);
-  EXPECT_EQ(restored.response, provisioned.device_crp.response);
-
-  // A restored CRP provisions a working device.
-  AuthDevice device(*s.puf, restored, crypto::bytes_of("fw"));
-  AuthVerifier verifier(restored.response,
-                        crypto::Sha256::hash(crypto::bytes_of("fw")),
-                        s.puf->challenge_bytes());
-  net::DuplexChannel channel;
-  EXPECT_TRUE(run_auth_session(verifier, device, channel, 1, 0x55));
-
-  EXPECT_THROW(deserialize_crp(crypto::Bytes(4, 0)), std::runtime_error);
-  EXPECT_THROW(deserialize_crp(crypto::ByteView(blob).first(blob.size() - 2)),
-               std::runtime_error);
-  crypto::Bytes trailing = blob;
-  trailing.push_back(0);
-  EXPECT_THROW(deserialize_crp(trailing), std::runtime_error);
-}
-
 TEST(MutualAuth, ConstructionRejectsBadState) {
   puf::PhotonicPuf p(puf::small_photonic_config(), 71, 0);
   EXPECT_THROW(AuthDevice(p, ProvisionedCrp{}, crypto::bytes_of("m")),

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace neuropuls::crypto {
 namespace {
 
@@ -138,6 +140,24 @@ TEST(Endian, AppendHelpers) {
   ASSERT_EQ(out.size(), 12u);
   EXPECT_EQ(get_u32_be(out), 0x01020304u);
   EXPECT_EQ(get_u64_be(ByteView(out).subspan(4)), 0x05060708090a0b0cULL);
+
+  append_f64_le(out, -2.5);
+  append_prefixed(out, Bytes{0xaa, 0xbb});
+  ASSERT_EQ(out.size(), 12u + 8u + 4u + 2u);
+  EXPECT_EQ(out[12 + 7], 0xc0);  // sign and exponent byte last
+  ByteReader reader(out, "blob");
+  EXPECT_EQ(reader.u32(), 0x01020304u);
+  EXPECT_EQ(reader.u64(), 0x05060708090a0b0cULL);
+  EXPECT_EQ(reader.f64(), -2.5);
+  EXPECT_EQ(reader.remaining(), 6u);
+  // A count is checked against the bytes left without overflowing.
+  EXPECT_EQ(reader.count(3, 2), 3u);
+  EXPECT_THROW(reader.count(4, 2), std::runtime_error);
+  EXPECT_THROW(reader.count(~std::uint64_t{0}, 1), std::runtime_error);
+  EXPECT_TRUE(std::ranges::equal(reader.prefixed(), Bytes{0xaa, 0xbb}));
+  EXPECT_TRUE(reader.done());
+  EXPECT_THROW(reader.u8(), std::runtime_error);
+  EXPECT_THROW(reader.bytes(~std::size_t{0}), std::runtime_error);
 }
 
 TEST(Hamming, IdenticalIsZero) {

@@ -271,23 +271,5 @@ TEST(FuzzyExtractor, HeavilyCorruptedHelperRejectsOrDiverges) {
   }
 }
 
-TEST(HelperSerialization, TruncatedBlobsThrowAtEveryCut) {
-  // Every truncation point of a serialized helper must throw (clean
-  // parse failure), never read out of bounds or return garbage.
-  const FuzzyExtractor fe = make_default_extractor();
-  crypto::ChaChaDrbg drbg(crypto::bytes_of("trunc"));
-  rng::Xoshiro256 noise(49);
-  BitVec w(fe.response_bits());
-  for (auto& b : w) b = noise.coin() ? 1 : 0;
-  const auto enrolled = fe.generate(w, drbg);
-  const crypto::Bytes blob = serialize_helper(enrolled.helper);
-
-  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
-    EXPECT_THROW(deserialize_helper(crypto::ByteView(blob).first(cut)),
-                 std::runtime_error)
-        << "cut " << cut;
-  }
-}
-
 }  // namespace
 }  // namespace neuropuls::ecc
