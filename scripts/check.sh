@@ -23,24 +23,24 @@
 #                               # the ctest label `chaos` (tests/chaos:
 #                               # faulty links, flood storms, replay and
 #                               # half-open exhaustion) under BOTH ASan and
-#                               # UBSan — held-frame queues, retry/backoff
-#                               # loops, corrupted-blob parsing, and
+#                               # UBSan, in the address and undefined
+#                               # trees (built first if absent) —
+#                               # held-frame queues, retry/backoff loops,
+#                               # corrupted-blob parsing, and
 #                               # shedding/eviction of session lifetimes
 #                               # are exactly where lifetime and UB bugs
 #                               # would hide
-#   scripts/check.sh tsan       # concurrency sweep only: runs the ctest
-#                               # label `concurrency` (sharded CrpDatabase
-#                               # stress, SessionEngine determinism, reactor
-#                               # alloc/park-wake suites) under
-#                               # ThreadSanitizer — the shard locks and the
-#                               # engine's reactor are the only
-#                               # cross-thread surfaces in the stack
-#   scripts/check.sh reactor    # reactor sweep: one ThreadSanitizer build,
-#                               # then ctest -L concurrency under
-#                               # NEUROPULS_THREADS=1 (serial fallback /
-#                               # degenerate reactor) and =4 (real steal and
-#                               # park/wake traffic) — the two widths where
-#                               # scheduler bugs live
+#   scripts/check.sh tsan       # concurrency sweep: one ThreadSanitizer
+#                               # tree, then ctest -L concurrency (sharded
+#                               # CrpDatabase stress, SessionEngine
+#                               # determinism, reactor alloc/park-wake
+#                               # suites) under NEUROPULS_THREADS=1 (serial
+#                               # fallback / degenerate reactor) and =4
+#                               # (real steal and park/wake traffic) — the
+#                               # shard locks and the reactor are the only
+#                               # cross-thread surfaces in the stack, and
+#                               # those two widths are where scheduler
+#                               # bugs live
 #   scripts/check.sh lint       # static-analysis flavor: ctlint (all
 #                               # passes, empty-baseline gate) + fixture
 #                               # self-test, bench_regress schema
@@ -63,7 +63,9 @@
 #                               its default 0.10 threshold on full-length
 #                               runs for real regression gating)
 #
-# Build trees and their logs land under build-check/ (gitignored).
+# Build trees and their logs land under build-check/ (gitignored), one
+# tree per configuration: the label sweeps (chaos, tsan) reuse the tree
+# of their sanitizer, so `address` then `chaos` builds ASan once.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,9 +80,8 @@ FLAVORS=(
   "address     full suite under AddressSanitizer"
   "undefined   full suite under UBSan"
   "native      full suite with -DNEUROPULS_NATIVE=ON (host-ISA lane kernels)"
-  "chaos       ctest -L chaos under ASan AND UBSan (fault injection, floods)"
-  "tsan        ctest -L concurrency under ThreadSanitizer"
-  "reactor     ctest -L concurrency under TSan at NEUROPULS_THREADS=1 and =4"
+  "chaos       ctest -L chaos in the ASan AND UBSan trees (fault injection, floods)"
+  "tsan        ctest -L concurrency under TSan at NEUROPULS_THREADS=1 and =4"
   "lint        ctlint + fixtures + bench schema + clang-tidy/thread-safety"
 )
 
@@ -109,7 +110,7 @@ mkdir -p build-check
 run_config() {
   local config="$1"
   local label="${2:-}"   # optional ctest -L label (chaos/tsan flavors)
-  local build_dir="build-check/${config}${label:+-${label}}"
+  local build_dir="build-check/${config}"
   local sanitize=""
   local native="OFF"
   if [ "${config}" = "native" ]; then
@@ -228,9 +229,6 @@ for config in "${CONFIGS[@]}"; do
       run_config undefined chaos
       ;;
     tsan)
-      run_config thread concurrency
-      ;;
-    reactor)
       # One TSan build tree, swept at two pool widths: the second
       # run_config call reuses the build and only re-runs ctest.
       NEUROPULS_THREADS=1 run_config thread concurrency

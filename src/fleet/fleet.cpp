@@ -100,6 +100,16 @@ puf::Challenge FleetSimulator::challenge_of(std::size_t device,
   return challenge;
 }
 
+puf::Crp FleetSimulator::harvest(const SyntheticPuf& puf, std::size_t device,
+                                 std::uint32_t generation) const {
+  const std::uint64_t word = challenge_word(device, generation);
+  puf::Crp crp;
+  crp.challenge = puf.challenge_bytes_of(word);
+  crp.response.resize(config_.puf.response_bytes);
+  puf.evaluate_noiseless_into(word, crp.response.data());
+  return crp;
+}
+
 SyntheticPuf FleetSimulator::make_device(std::size_t device) const {
   const std::uint64_t seed = device_seed(device);
   SyntheticPuf puf(config_.puf, seed,
@@ -169,12 +179,8 @@ EnrollReport FleetSimulator::enroll() {
       const std::size_t device = chunk_start + i;
       const SyntheticPuf puf = make_device(device);
       for (std::size_t g = 0; g < gens; ++g) {
-        puf::Crp& crp = staging[i * gens + g];
-        const std::uint64_t word =
-            challenge_word(device, static_cast<std::uint32_t>(g));
-        crp.challenge = puf.challenge_bytes_of(word);
-        crp.response.resize(config_.puf.response_bytes);
-        puf.evaluate_noiseless_into(word, crp.response.data());
+        staging[i * gens + g] =
+            harvest(puf, device, static_cast<std::uint32_t>(g));
       }
     });
     // Order-independent sampling before the staging buffer moves into
@@ -390,32 +396,14 @@ CampaignReport FleetSimulator::run_rotation_sweep() {
     report.skipped += outcome.skipped;
     attempts_sum += outcome.attempts_sum;
 
-    // Crash-safe rotation order for the whole wave: durably insert every
-    // replacement CRP, barrier, then consume the old ones. A crash
-    // anywhere in this sequence leaves each device with >= 1 live CRP.
     staging.clear();
     staging.reserve(rotate.size());
     for (const std::size_t device : rotate) {
-      const std::uint32_t new_gen = states_[device].next;
-      const SyntheticPuf puf = make_device(device);
-      const std::uint64_t word = challenge_word(device, new_gen);
-      puf::Crp crp;
-      crp.challenge = puf.challenge_bytes_of(word);
-      crp.response.resize(config_.puf.response_bytes);
-      puf.evaluate_noiseless_into(word, crp.response.data());
-      staging.push_back(std::move(crp));
+      staging.push_back(
+          harvest(make_device(device), device, states_[device].next));
     }
-    db_.insert_batch(std::move(staging));
-    db_.sync();
-    for (const std::size_t device : rotate) {
-      DeviceState& s = states_[device];
-      if (db_.take(challenge_of(device, s.oldest)).has_value()) {
-        ++s.oldest;
-      }
-      ++s.next;
-      refresh_cursor(device);
-      ++report.rotated;
-    }
+    commit_rotation(std::move(staging), rotate);
+    report.rotated += rotate.size();
     check_memory_budget("rotation sweep");
   }
   report.poll_ticks.compress();
@@ -477,31 +465,30 @@ ResumeReport FleetSimulator::resume_rotation() {
       // The replacement insert never reached stable storage: redo the
       // whole rotation for this device (insert first, take after the
       // barrier below).
-      const std::uint32_t new_gen = s.next;
-      const SyntheticPuf puf = make_device(device);
-      const std::uint64_t word = challenge_word(device, new_gen);
-      puf::Crp crp;
-      crp.challenge = puf.challenge_bytes_of(word);
-      crp.response.resize(config_.puf.response_bytes);
-      puf.evaluate_noiseless_into(word, crp.response.data());
-      staging.push_back(std::move(crp));
+      staging.push_back(harvest(make_device(device), device, s.next));
       redo.push_back(device);
       ++report.redone;
     }
   }
-  if (!redo.empty()) {
-    db_.insert_batch(std::move(staging));
-    db_.sync();
-    for (const std::size_t device : redo) {
-      DeviceState& s = states_[device];
-      if (db_.take(challenge_of(device, s.oldest)).has_value()) {
-        ++s.oldest;
-      }
-      ++s.next;
-      refresh_cursor(device);
-    }
-  }
+  if (!redo.empty()) commit_rotation(std::move(staging), redo);
   return report;
+}
+
+void FleetSimulator::commit_rotation(std::vector<puf::Crp> replacements,
+                                     const std::vector<std::size_t>& devices) {
+  // Crash-safe rotation order: durably insert every replacement CRP,
+  // barrier, then consume the old ones. A crash anywhere in this
+  // sequence leaves each device with >= 1 live CRP.
+  db_.insert_batch(std::move(replacements));
+  db_.sync();
+  for (const std::size_t device : devices) {
+    DeviceState& s = states_[device];
+    if (db_.take(challenge_of(device, s.oldest)).has_value()) {
+      ++s.oldest;
+    }
+    ++s.next;
+    refresh_cursor(device);
+  }
 }
 
 std::size_t FleetSimulator::run_revocation_sweep(std::size_t first,
@@ -543,14 +530,8 @@ std::size_t FleetSimulator::reenroll_quarantined() {
   std::vector<puf::Crp> staging;
   staging.reserve(affected.size());
   for (const std::size_t device : affected) {
-    const std::uint32_t new_gen = states_[device].next;
-    const SyntheticPuf puf = make_device(device);
-    const std::uint64_t word = challenge_word(device, new_gen);
-    puf::Crp crp;
-    crp.challenge = puf.challenge_bytes_of(word);
-    crp.response.resize(config_.puf.response_bytes);
-    puf.evaluate_noiseless_into(word, crp.response.data());
-    staging.push_back(std::move(crp));
+    staging.push_back(
+        harvest(make_device(device), device, states_[device].next));
   }
   db_.insert_batch(std::move(staging));
   db_.sync();

@@ -215,6 +215,14 @@ class FleetSimulator {
 
   std::uint64_t device_seed(std::size_t device) const noexcept;
   bool device_faulty(std::size_t device) const noexcept;
+  /// Device `device`'s CRP for `generation`, evaluated on its
+  /// already-built PUF.
+  puf::Crp harvest(const SyntheticPuf& puf, std::size_t device,
+                   std::uint32_t generation) const;
+  /// Inserts `replacements` for `devices`, syncs, then consumes each
+  /// device's oldest CRP and advances its generation window.
+  void commit_rotation(std::vector<puf::Crp> replacements,
+                       const std::vector<std::size_t>& devices);
   /// Advances `oldest` past consumed/quarantined generations.
   void refresh_cursor(std::size_t device);
   void check_memory_budget(const char* where) const;

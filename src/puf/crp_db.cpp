@@ -18,6 +18,8 @@ struct CrpDatabase::ReplayCounts {
   std::uint64_t wal_records = 0;
   std::uint64_t takes = 0;
   std::uint64_t torn_bytes = 0;
+  /// A next-generation log was found: a snapshot was interrupted.
+  bool orphan = false;
 };
 
 /// Group-commit writer state. The handshake mutex is held only for
@@ -154,19 +156,100 @@ CrpDatabase::~CrpDatabase() {
   if (wal_->writer.joinable()) wal_->writer.join();
 }
 
-CrpDatabase::Shard& CrpDatabase::shard_for(
-    crypto::ByteView challenge) noexcept {
-  return *shards_[detail::ChallengeHash{}(challenge) % shards_.size()];
-}
-
-const CrpDatabase::Shard& CrpDatabase::shard_for(
-    crypto::ByteView challenge) const noexcept {
-  return *shards_[detail::ChallengeHash{}(challenge) % shards_.size()];
-}
-
 std::size_t CrpDatabase::shard_index_for(
     crypto::ByteView challenge) const noexcept {
   return detail::ChallengeHash{}(challenge) % shards_.size();
+}
+
+std::optional<std::size_t> CrpDatabase::find(const Shard& shard,
+                                             crypto::ByteView challenge) {
+  const auto it = shard.index.find(challenge);
+  if (it == shard.index.end()) return std::nullopt;
+  return it->second;
+}
+
+// ---------------------------------------------------------------------------
+// The apply functions.
+
+bool CrpDatabase::apply_insert(Shard& shard, Crp& crp,
+                               const CrpHealth& health) {
+  if (!shard.index.try_emplace(crp.challenge, shard.entries.size()).second) {
+    return false;
+  }
+  shard.entries.push_back(Entry{std::move(crp), health});
+  size_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+Crp CrpDatabase::apply_remove(Shard& shard, std::size_t pos) {
+  // Erase the index entry before moving the CRP out: the challenge is
+  // the map key, so erasing after the move would probe with a
+  // moved-from (empty) buffer and strand a stale index entry.
+  shard.index.erase(shard.entries[pos].crp.challenge);
+  Crp crp = std::move(shard.entries[pos].crp);
+  if (pos != shard.entries.size() - 1) {
+    shard.entries[pos] = std::move(shard.entries.back());
+    shard.index[shard.entries[pos].crp.challenge] = pos;
+  }
+  shard.entries.pop_back();
+  size_.fetch_sub(1, std::memory_order_relaxed);
+  return crp;
+}
+
+void CrpDatabase::apply_health(Shard& shard, std::size_t pos,
+                               const CrpHealth& health) {
+  shard.entries[pos].health = health;
+}
+
+// ---------------------------------------------------------------------------
+// The live mutations: each is one mutate() call around the apply
+// functions.
+
+struct CrpDatabase::WalTicket {
+  /// Highest sequence appended; it stands in for every record below it.
+  std::uint64_t seq = 0;
+  std::size_t bytes = 0;
+  bool take = false;
+};
+
+template <typename Apply>
+auto CrpDatabase::mutate(std::size_t index, Apply&& apply) {
+  Shard& shard = *shards_[index];
+  WalTicket ticket;
+  auto result = [&] {
+    const ShardLock lock(shard);
+    return apply(shard, ticket);
+  }();
+  if (ticket.bytes != 0) wal_after_append(index, ticket);
+  return result;
+}
+
+void CrpDatabase::wal_log(Shard& shard, WalTicket& ticket,
+                          wal::RecordType type, const Entry& entry) {
+  if (!wal_) return;
+  const std::uint64_t seq = ++shard.wal_seq;
+  crypto::Bytes& out = shard.wal_pending;
+  const std::size_t before = out.size();
+  const Challenge& challenge = entry.crp.challenge;
+  switch (type) {
+    case wal::RecordType::kInsert:
+      wal::append_insert_record(out, seq, challenge, entry.crp.response);
+      break;
+    case wal::RecordType::kTake:
+      wal::append_take_record(out, seq, challenge);
+      ticket.take = true;
+      break;
+    case wal::RecordType::kHealth:
+      // The record carries the *resulting* counters, so replay is exact
+      // whatever quarantine threshold a later run configures.
+      wal::append_health_record(out, seq, challenge, entry.health);
+      break;
+    case wal::RecordType::kEvict:
+      wal::append_evict_record(out, seq, challenge);
+      break;
+  }
+  ticket.seq = seq;
+  ticket.bytes += out.size() - before;
 }
 
 void CrpDatabase::enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
@@ -179,37 +262,22 @@ void CrpDatabase::enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
   }
 }
 
-void CrpDatabase::insert(Crp crp) {
-  const std::size_t index = shard_index_for(crp.challenge);
-  Shard& shard = *shards_[index];
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
-  {
-    const ShardLock lock(shard);
-    if (wal_) {
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_insert_record(shard.wal_pending, seq, crp.challenge,
-                                crp.response);
-      logged = shard.wal_pending.size() - before;
-    }
-    shard.index[crp.challenge] = shard.entries.size();
-    shard.entries.push_back(Entry{std::move(crp), CrpHealth{}});
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.mode ==
-                         CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+bool CrpDatabase::insert(Crp crp) {
+  return mutate(shard_index_for(crp.challenge),
+                [&](Shard& shard, WalTicket& ticket) NP_REQUIRES(shard.mutex) {
+                  if (!apply_insert(shard, crp, CrpHealth{})) return false;
+                  wal_log(shard, ticket, wal::RecordType::kInsert,
+                          shard.entries.back());
+                  return true;
+                });
 }
 
-void CrpDatabase::insert_batch(std::vector<Crp> crps) {
-  if (crps.empty()) return;
+std::size_t CrpDatabase::insert_batch(std::vector<Crp> crps) {
   // Group CRPs by shard via counting sort (no per-shard vectors): one
   // pass computes shard occupancy, a prefix sum turns it into scatter
   // offsets, and the grouped order array drives one locked pass per
-  // touched shard.
+  // touched shard. The sort is stable, so within a shard the batch
+  // order — and with it which of two duplicates wins — is kept.
   std::vector<std::size_t> shard_of(crps.size());
   std::vector<std::size_t> counts(shards_.size(), 0);
   for (std::size_t i = 0; i < crps.size(); ++i) {
@@ -227,50 +295,23 @@ void CrpDatabase::insert_batch(std::vector<Crp> crps) {
       grouped[cursor[shard_of[i]]++] = i;
     }
   }
+  std::size_t stored = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (counts[s] == 0) continue;
-    Shard& shard = *shards_[s];
-    std::uint64_t seq = 0;
-    std::size_t logged = 0;
-    {
-      const ShardLock lock(shard);
-      const std::size_t before = shard.wal_pending.size();
-      shard.entries.reserve(shard.entries.size() + counts[s]);
-      for (std::size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
-        Crp& crp = crps[grouped[g]];
-        if (wal_) {
-          seq = ++shard.wal_seq;
-          wal::append_insert_record(shard.wal_pending, seq, crp.challenge,
-                                    crp.response);
-        }
-        shard.index[crp.challenge] = shard.entries.size();
-        shard.entries.push_back(Entry{std::move(crp), CrpHealth{}});
-      }
-      logged = shard.wal_pending.size() - before;
-      size_.fetch_add(counts[s], std::memory_order_relaxed);
-    }
-    if (logged != 0) {
-      // One accounting/wakeup hand-off covers the whole shard group; the
-      // highest sequence stands in for every record below it.
-      wal_after_append(s, seq, logged,
-                       wal_->options.mode ==
-                           CrpDurabilityOptions::Mode::kFsyncPerOp);
-    }
+    stored += mutate(
+        s, [&](Shard& shard, WalTicket& ticket) NP_REQUIRES(shard.mutex) {
+          shard.entries.reserve(shard.entries.size() + counts[s]);
+          std::size_t n = 0;
+          for (std::size_t g = offsets[s]; g < offsets[s + 1]; ++g) {
+            if (!apply_insert(shard, crps[grouped[g]], CrpHealth{})) continue;
+            wal_log(shard, ticket, wal::RecordType::kInsert,
+                    shard.entries.back());
+            ++n;
+          }
+          return n;
+        });
   }
-}
-
-void CrpDatabase::remove_at(Shard& shard, std::size_t pos) {
-  shard.index.erase(shard.entries[pos].crp.challenge);
-  compact(shard, pos);
-}
-
-// Swap-with-back removal of a slot whose index entry is already erased.
-void CrpDatabase::compact(Shard& shard, std::size_t pos) {
-  if (pos != shard.entries.size() - 1) {
-    shard.entries[pos] = std::move(shard.entries.back());
-    shard.index[shard.entries[pos].crp.challenge] = pos;
-  }
-  shard.entries.pop_back();
+  return stored;
 }
 
 std::optional<Crp> CrpDatabase::take() {
@@ -281,158 +322,86 @@ std::optional<Crp> CrpDatabase::take() {
   const std::size_t start =
       take_cursor_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   for (std::size_t probe = 0; probe < shards_.size(); ++probe) {
-    const std::size_t index = (start + probe) % shards_.size();
-    Shard& shard = *shards_[index];
-    std::optional<Crp> crp;
-    std::uint64_t seq = 0;
-    std::size_t logged = 0;
-    {
-      const ShardLock lock(shard);
-      for (std::size_t i = shard.entries.size(); i-- > 0;) {
-        if (shard.entries[i].health.quarantined) continue;
-        // Erase the index entry before moving the CRP out: the challenge
-        // is the map key, so erasing after the move would probe with a
-        // moved-from (empty) buffer and strand a stale index entry.
-        shard.index.erase(shard.entries[i].crp.challenge);
-        crp = std::move(shard.entries[i].crp);
-        compact(shard, i);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        shard.takes.fetch_add(1, std::memory_order_relaxed);
-        if (probe != 0) {
-          take_steals_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (wal_) {
-          seq = ++shard.wal_seq;
-          const std::size_t before = shard.wal_pending.size();
-          wal::append_take_record(shard.wal_pending, seq, crp->challenge);
-          logged = shard.wal_pending.size() - before;
-        }
-        break;
-      }
-    }
-    if (crp.has_value()) {
-      if (logged != 0) {
-        // The one-time-use invariant: do not hand the CRP out until its
-        // take record is on stable storage (unless explicitly waived).
-        wal_after_append(index, seq, logged,
-                         wal_->options.durable_take ||
-                             wal_->options.mode ==
-                                 CrpDurabilityOptions::Mode::kFsyncPerOp);
-      }
-      return crp;
-    }
+    std::optional<Crp> crp = mutate(
+        (start + probe) % shards_.size(),
+        [&](Shard& shard, WalTicket& ticket)
+            NP_REQUIRES(shard.mutex) -> std::optional<Crp> {
+          for (std::size_t i = shard.entries.size(); i-- > 0;) {
+            if (shard.entries[i].health.quarantined) continue;
+            wal_log(shard, ticket, wal::RecordType::kTake, shard.entries[i]);
+            shard.takes.fetch_add(1, std::memory_order_relaxed);
+            if (probe != 0) {
+              take_steals_.fetch_add(1, std::memory_order_relaxed);
+            }
+            return apply_remove(shard, i);
+          }
+          return std::nullopt;
+        });
+    if (crp.has_value()) return crp;
   }
   return std::nullopt;
 }
 
 std::optional<Crp> CrpDatabase::take(const Challenge& challenge) {
-  const std::size_t index = shard_index_for(crypto::ByteView{challenge});
-  Shard& shard = *shards_[index];
-  std::optional<Crp> crp;
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
-  {
-    const ShardLock lock(shard);
-    const auto it = shard.index.find(crypto::ByteView{challenge});
-    if (it == shard.index.end()) return std::nullopt;
-    const std::size_t pos = it->second;
-    if (shard.entries[pos].health.quarantined) return std::nullopt;
-    // Same ordering discipline as the scanning take(): drop the index
-    // entry while the key buffer is still intact, then move the CRP out.
-    shard.index.erase(it);
-    crp = std::move(shard.entries[pos].crp);
-    compact(shard, pos);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    shard.takes.fetch_add(1, std::memory_order_relaxed);
-    if (wal_) {
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_take_record(shard.wal_pending, seq, crp->challenge);
-      logged = shard.wal_pending.size() - before;
-    }
-  }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.durable_take ||
-                         wal_->options.mode ==
-                             CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
-  return crp;
+  return mutate(
+      shard_index_for(challenge),
+      [&](Shard& shard, WalTicket& ticket)
+          NP_REQUIRES(shard.mutex) -> std::optional<Crp> {
+        const std::optional<std::size_t> pos = find(shard, challenge);
+        if (!pos || shard.entries[*pos].health.quarantined) {
+          return std::nullopt;
+        }
+        wal_log(shard, ticket, wal::RecordType::kTake, shard.entries[*pos]);
+        shard.takes.fetch_add(1, std::memory_order_relaxed);
+        return apply_remove(shard, *pos);
+      });
 }
 
 std::optional<Response> CrpDatabase::lookup(const Challenge& challenge) const {
-  const Shard& shard = shard_for(crypto::ByteView{challenge});
+  const Shard& shard = *shards_[shard_index_for(challenge)];
   const ShardLock lock(shard);
-  const auto it = shard.index.find(crypto::ByteView{challenge});
-  if (it == shard.index.end()) return std::nullopt;
-  const Entry& entry = shard.entries[it->second];
-  if (entry.health.quarantined) return std::nullopt;
-  return entry.crp.response;
+  const std::optional<std::size_t> pos = find(shard, challenge);
+  if (!pos || shard.entries[*pos].health.quarantined) return std::nullopt;
+  return shard.entries[*pos].crp.response;
 }
 
 void CrpDatabase::record_success(const Challenge& challenge) {
-  const std::size_t index = shard_index_for(crypto::ByteView{challenge});
-  Shard& shard = *shards_[index];
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
-  {
-    const ShardLock lock(shard);
-    const auto it = shard.index.find(crypto::ByteView{challenge});
-    if (it == shard.index.end()) return;
-    CrpHealth& health = shard.entries[it->second].health;
-    ++health.successes;
-    health.consecutive_failures = 0;
-    if (wal_) {
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_health_record(shard.wal_pending, seq, challenge, health);
-      logged = shard.wal_pending.size() - before;
-    }
-  }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.mode ==
-                         CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+  record_outcome(challenge, true);
 }
 
 void CrpDatabase::record_failure(const Challenge& challenge) {
-  const std::size_t index = shard_index_for(crypto::ByteView{challenge});
-  Shard& shard = *shards_[index];
-  std::uint64_t seq = 0;
-  std::size_t logged = 0;
-  {
-    const ShardLock lock(shard);
-    const auto it = shard.index.find(crypto::ByteView{challenge});
-    if (it == shard.index.end()) return;
-    CrpHealth& health = shard.entries[it->second].health;
-    ++health.failures;
-    ++health.consecutive_failures;
-    if (health.consecutive_failures >= quarantine_threshold_) {
-      health.quarantined = true;
-    }
-    if (wal_) {
-      // The record carries the *resulting* counters, so replay is exact
-      // whatever quarantine threshold a later run configures.
-      seq = ++shard.wal_seq;
-      const std::size_t before = shard.wal_pending.size();
-      wal::append_health_record(shard.wal_pending, seq, challenge, health);
-      logged = shard.wal_pending.size() - before;
-    }
-  }
-  if (logged != 0) {
-    wal_after_append(index, seq, logged,
-                     wal_->options.mode ==
-                         CrpDurabilityOptions::Mode::kFsyncPerOp);
-  }
+  record_outcome(challenge, false);
+}
+
+void CrpDatabase::record_outcome(const Challenge& challenge, bool success) {
+  mutate(shard_index_for(challenge),
+         [&](Shard& shard, WalTicket& ticket) NP_REQUIRES(shard.mutex) {
+           const std::optional<std::size_t> pos = find(shard, challenge);
+           if (!pos) return false;
+           CrpHealth health = shard.entries[*pos].health;
+           if (success) {
+             ++health.successes;
+             health.consecutive_failures = 0;
+           } else {
+             ++health.failures;
+             ++health.consecutive_failures;
+             if (health.consecutive_failures >= quarantine_threshold_) {
+               health.quarantined = true;
+             }
+           }
+           apply_health(shard, *pos, health);
+           wal_log(shard, ticket, wal::RecordType::kHealth,
+                   shard.entries[*pos]);
+           return true;
+         });
 }
 
 std::optional<CrpHealth> CrpDatabase::health(const Challenge& challenge) const {
-  const Shard& shard = shard_for(crypto::ByteView{challenge});
+  const Shard& shard = *shards_[shard_index_for(challenge)];
   const ShardLock lock(shard);
-  const auto it = shard.index.find(crypto::ByteView{challenge});
-  if (it == shard.index.end()) return std::nullopt;
-  return shard.entries[it->second].health;
+  const std::optional<std::size_t> pos = find(shard, challenge);
+  if (!pos) return std::nullopt;
+  return shard.entries[*pos].health;
 }
 
 std::size_t CrpDatabase::quarantined() const noexcept {
@@ -449,32 +418,18 @@ std::size_t CrpDatabase::quarantined() const noexcept {
 std::size_t CrpDatabase::evict_quarantined() {
   std::size_t evicted = 0;
   for (std::size_t index = 0; index < shards_.size(); ++index) {
-    Shard& shard = *shards_[index];
-    std::uint64_t seq = 0;
-    std::size_t logged = 0;
-    {
-      const ShardLock lock(shard);
-      const std::size_t before = shard.wal_pending.size();
-      for (std::size_t i = shard.entries.size(); i-- > 0;) {
-        if (shard.entries[i].health.quarantined) {
-          if (wal_) {
-            seq = ++shard.wal_seq;
-            wal::append_evict_record(shard.wal_pending, seq,
-                                     shard.entries[i].crp.challenge);
+    evicted += mutate(
+        index, [&](Shard& shard, WalTicket& ticket) NP_REQUIRES(shard.mutex) {
+          std::size_t n = 0;
+          for (std::size_t i = shard.entries.size(); i-- > 0;) {
+            if (!shard.entries[i].health.quarantined) continue;
+            wal_log(shard, ticket, wal::RecordType::kEvict, shard.entries[i]);
+            apply_remove(shard, i);
+            ++n;
           }
-          remove_at(shard, i);
-          ++evicted;
-        }
-      }
-      logged = shard.wal_pending.size() - before;
-    }
-    if (logged != 0) {
-      wal_after_append(index, seq, logged,
-                       wal_->options.mode ==
-                           CrpDurabilityOptions::Mode::kFsyncPerOp);
-    }
+          return n;
+        });
   }
-  size_.fetch_sub(evicted, std::memory_order_relaxed);
   return evicted;
 }
 
@@ -512,14 +467,20 @@ std::size_t CrpDatabase::storage_bytes() const noexcept {
 // ---------------------------------------------------------------------------
 // Durability: append-side handshake.
 
-void CrpDatabase::wal_after_append(std::size_t shard, std::uint64_t seq,
-                                   std::size_t bytes, bool wait_durable) {
+void CrpDatabase::wal_after_append(std::size_t shard,
+                                   const WalTicket& ticket) {
   WalState& w = *wal_;
   const std::size_t before =
-      w.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
+      w.pending_bytes.fetch_add(ticket.bytes, std::memory_order_relaxed);
+  // The wait rule. A take waits for its record to reach stable storage
+  // before the CRP is handed out — the one-time-use invariant — unless
+  // durable_take waives it; in fsync-per-op mode every record waits.
+  const bool wait_durable =
+      w.options.mode == CrpDurabilityOptions::Mode::kFsyncPerOp ||
+      (ticket.take && w.options.durable_take);
   if (wait_durable) {
     common::MutexLock lock(w.mutex);
-    while (w.durable_seq[shard] < seq && !w.stop) {
+    while (w.durable_seq[shard] < ticket.seq && !w.stop) {
       // Re-arm each round: the writer consumes the flag per flush and
       // more of our bytes may still be pending.
       w.sync_requested = true;
@@ -531,7 +492,7 @@ void CrpDatabase::wal_after_append(std::size_t shard, std::uint64_t seq,
   }
   const bool first_pending = before == 0;
   const bool batch_full = before < w.options.batch_bytes &&
-                          before + bytes >= w.options.batch_bytes;
+                          before + ticket.bytes >= w.options.batch_bytes;
   if (first_pending || batch_full) {
     // Taking the handshake mutex for the notify closes the window where
     // the writer has checked its predicate but not yet gone to sleep.
@@ -747,56 +708,8 @@ void CrpDatabase::wal_cleanup_stale() {
 // ---------------------------------------------------------------------------
 // Durability: cold-start recovery.
 
-void CrpDatabase::apply_recovered_insert(Shard& shard,
-                                         crypto::ByteView challenge,
-                                         crypto::ByteView response,
-                                         const CrpHealth& health) {
-  if (shard.index.find(challenge) != shard.index.end()) {
-    throw wal::CrpStoreError("recovery: duplicate challenge in store");
-  }
-  Crp crp;
-  crp.challenge.assign(challenge.begin(), challenge.end());
-  crp.response.assign(response.begin(), response.end());
-  shard.index[crp.challenge] = shard.entries.size();
-  shard.entries.push_back(Entry{std::move(crp), health});
-  size_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CrpDatabase::apply_recovered_record(Shard& shard,
-                                         const wal::RecordView& record) {
-  switch (record.type) {
-    case wal::RecordType::kInsert:
-      apply_recovered_insert(shard, record.challenge, record.response,
-                             CrpHealth{});
-      break;
-    case wal::RecordType::kTake:
-    case wal::RecordType::kEvict: {
-      const auto it = shard.index.find(record.challenge);
-      if (it == shard.index.end()) {
-        throw wal::CrpStoreError(
-            "recovery: take/evict record for unknown challenge");
-      }
-      // remove_at reproduces the live path's swap-with-back compaction,
-      // so the recovered entry order matches a never-restarted store.
-      remove_at(shard, it->second);
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      break;
-    }
-    case wal::RecordType::kHealth: {
-      const auto it = shard.index.find(record.challenge);
-      if (it == shard.index.end()) {
-        throw wal::CrpStoreError(
-            "recovery: health record for unknown challenge");
-      }
-      shard.entries[it->second].health = record.health;
-      break;
-    }
-  }
-}
-
 CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
-    std::size_t source, std::uint32_t source_count, std::uint64_t generation,
-    bool direct, bool& orphan) {
+    std::size_t source, const wal::Manifest& manifest, bool direct) {
   WalState& w = *wal_;
   ReplayCounts counts;
   common::Arena arena;
@@ -805,11 +718,13 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
   // then apply. The decoded views alias the arena images.
   std::uint64_t base_seq = 0;
   std::vector<wal::SnapshotEntryView> entries;
-  const std::string snap = wal::snapshot_path(w.dir, source, generation);
+  const std::string snap =
+      wal::snapshot_path(w.dir, source, manifest.generation);
   if (io::file_exists(snap)) {
     const wal::SnapshotView view =
         wal::decode_snapshot(read_into_arena(arena, snap));
-    if (view.shard_index != source || view.shard_count != source_count) {
+    if (view.shard_index != source ||
+        view.shard_count != manifest.shard_count) {
       throw wal::CrpStoreError("snapshot: header does not match manifest");
     }
     base_seq = view.wal_seq;
@@ -818,10 +733,11 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
 
   std::vector<wal::RecordView> records;
   std::uint64_t last_seq = base_seq;
-  for (const std::uint64_t gen : {generation, generation + 1}) {
+  for (const std::uint64_t gen :
+       {manifest.generation, manifest.generation + 1}) {
     const std::string path = wal::wal_path(w.dir, source, gen);
     if (!io::file_exists(path)) continue;
-    if (gen != generation) orphan = true;  // interrupted snapshot
+    if (gen != manifest.generation) counts.orphan = true;
     wal::WalDecodeResult decoded = wal::decode_wal(read_into_arena(arena, path));
     counts.torn_bytes += decoded.torn_bytes;
     for (const wal::RecordView& record : decoded.records) {
@@ -830,11 +746,43 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
         throw wal::CrpStoreError("wal: sequence overlap across generations");
       }
       last_seq = record.seq;
+      if (record.type == wal::RecordType::kTake) ++counts.takes;
       records.push_back(record);
     }
   }
   counts.snapshot_entries = entries.size();
   counts.wal_records = records.size();
+
+  // Snapshot entries and insert records replay as inserts; take/evict
+  // and health records as the matching apply. A well-formed log never
+  // holds a duplicate insert or a record for an absent challenge (the
+  // live calls refuse the one and cannot log the other), so either one
+  // is damage, and the store fails cleanly.
+  const auto insert = [this](Shard& shard, crypto::ByteView challenge,
+                             crypto::ByteView response,
+                             const CrpHealth& health) NP_REQUIRES(shard.mutex) {
+    Crp crp{Challenge(challenge.begin(), challenge.end()),
+            Response(response.begin(), response.end())};
+    if (!apply_insert(shard, crp, health)) {
+      throw wal::CrpStoreError("recovery: duplicate challenge in store");
+    }
+  };
+  const auto replay = [&](Shard& shard, const wal::RecordView& record)
+                          NP_REQUIRES(shard.mutex) {
+    if (record.type == wal::RecordType::kInsert) {
+      insert(shard, record.challenge, record.response, CrpHealth{});
+      return;
+    }
+    const std::optional<std::size_t> pos = find(shard, record.challenge);
+    if (!pos) {
+      throw wal::CrpStoreError("recovery: record for unknown challenge");
+    }
+    if (record.type == wal::RecordType::kHealth) {
+      apply_health(shard, *pos, record.health);
+    } else {
+      apply_remove(shard, *pos);
+    }
+  };
 
   if (direct) {
     // Same layout: this task owns shard `source` outright; one lock
@@ -842,13 +790,9 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
     Shard& shard = *shards_[source];
     const ShardLock lock(shard);
     for (const wal::SnapshotEntryView& entry : entries) {
-      apply_recovered_insert(shard, entry.challenge, entry.response,
-                             entry.health);
+      insert(shard, entry.challenge, entry.response, entry.health);
     }
-    for (const wal::RecordView& record : records) {
-      apply_recovered_record(shard, record);
-      if (record.type == wal::RecordType::kTake) ++counts.takes;
-    }
+    for (const wal::RecordView& record : records) replay(shard, record);
     shard.wal_seq = last_seq;
     return counts;
   }
@@ -857,16 +801,14 @@ CrpDatabase::ReplayCounts CrpDatabase::wal_replay_shard(
   // shard lock per application (serial caller, so order is still
   // deterministic).
   for (const wal::SnapshotEntryView& entry : entries) {
-    Shard& target = shard_for(entry.challenge);
+    Shard& target = *shards_[shard_index_for(entry.challenge)];
     const ShardLock lock(target);
-    apply_recovered_insert(target, entry.challenge, entry.response,
-                           entry.health);
+    insert(target, entry.challenge, entry.response, entry.health);
   }
   for (const wal::RecordView& record : records) {
-    Shard& target = shard_for(record.challenge);
+    Shard& target = *shards_[shard_index_for(record.challenge)];
     const ShardLock lock(target);
-    apply_recovered_record(target, record);
-    if (record.type == wal::RecordType::kTake) ++counts.takes;
+    replay(target, record);
   }
   return counts;
 }
@@ -880,63 +822,47 @@ void CrpDatabase::wal_recover(const wal::Manifest& manifest,
   const bool same_layout = manifest.shard_count == shards_.size();
   w.recovery.source_shard_count = manifest.shard_count;
   w.recovery.resharded = !same_layout;
+  w.recovery.parallel_replay = same_layout;
 
-  std::atomic<std::uint64_t> snapshot_entries{0};
-  std::atomic<std::uint64_t> wal_records{0};
-  std::atomic<std::uint64_t> takes{0};
-  std::atomic<std::uint64_t> torn{0};
-  std::atomic<bool> orphan{false};
-
+  // One slot per source shard, so replay tasks never share a counter.
+  std::vector<ReplayCounts> per_source(manifest.shard_count);
+  const auto replay_source = [&](std::size_t source) {
+    per_source[source] = wal_replay_shard(source, manifest, same_layout);
+  };
   if (same_layout) {
     // Fan the per-shard replays across the pool: shard files are
     // independent and each task only ever locks its own shard.
-    w.recovery.parallel_replay = true;
-    common::parallel_for(shards_.size(), [&](std::size_t i) {
-      bool task_orphan = false;
-      const ReplayCounts counts = wal_replay_shard(
-          i, manifest.shard_count, manifest.generation, true, task_orphan);
-      snapshot_entries.fetch_add(counts.snapshot_entries,
-                                 std::memory_order_relaxed);
-      wal_records.fetch_add(counts.wal_records, std::memory_order_relaxed);
-      takes.fetch_add(counts.takes, std::memory_order_relaxed);
-      torn.fetch_add(counts.torn_bytes, std::memory_order_relaxed);
-      if (task_orphan) orphan.store(true, std::memory_order_relaxed);
-    });
+    common::parallel_for(shards_.size(), replay_source);
   } else {
     // Different shard count: replay serially (deterministic application
     // order) through the hash router, then roll forward to a compacted
     // snapshot in the new layout.
     roll_forward = true;
-    for (std::size_t j = 0; j < manifest.shard_count; ++j) {
-      bool task_orphan = false;
-      const ReplayCounts counts = wal_replay_shard(
-          j, manifest.shard_count, manifest.generation, false, task_orphan);
-      snapshot_entries.fetch_add(counts.snapshot_entries,
-                                 std::memory_order_relaxed);
-      wal_records.fetch_add(counts.wal_records, std::memory_order_relaxed);
-      takes.fetch_add(counts.takes, std::memory_order_relaxed);
-      torn.fetch_add(counts.torn_bytes, std::memory_order_relaxed);
-      if (task_orphan) orphan.store(true, std::memory_order_relaxed);
-    }
+    for (std::size_t j = 0; j < manifest.shard_count; ++j) replay_source(j);
   }
-  if (orphan.load(std::memory_order_relaxed)) roll_forward = true;
+  ReplayCounts total;
+  for (const ReplayCounts& counts : per_source) {
+    total.snapshot_entries += counts.snapshot_entries;
+    total.wal_records += counts.wal_records;
+    total.takes += counts.takes;
+    total.torn_bytes += counts.torn_bytes;
+    total.orphan = total.orphan || counts.orphan;
+  }
   // A torn tail means the live WAL file ends in a partial record. The
   // append fd would write the next record after that garbage, wedging
   // the *next* recovery on a mid-file corruption — so compact to a
   // fresh generation instead of appending to a damaged log.
-  if (torn.load(std::memory_order_relaxed) != 0) roll_forward = true;
+  if (total.orphan || total.torn_bytes != 0) roll_forward = true;
 
-  w.recovery.snapshot_entries =
-      snapshot_entries.load(std::memory_order_relaxed);
-  w.recovery.wal_records = wal_records.load(std::memory_order_relaxed);
-  w.recovery.replayed_takes = takes.load(std::memory_order_relaxed);
-  w.recovery.torn_bytes = torn.load(std::memory_order_relaxed);
+  w.recovery.snapshot_entries = total.snapshot_entries;
+  w.recovery.wal_records = total.wal_records;
+  w.recovery.replayed_takes = total.takes;
+  w.recovery.torn_bytes = total.torn_bytes;
   // Deterministic cursor restore: the manifest's cursor plus one
   // advance per replayed take. Unsuccessful take() calls between the
   // snapshot and the crash also advanced the live cursor but left no
   // record; their advances are deliberately not reproduced.
-  take_cursor_.store(manifest.take_cursor +
-                         takes.load(std::memory_order_relaxed),
+  take_cursor_.store(manifest.take_cursor + total.takes,
                      std::memory_order_relaxed);
 }
 

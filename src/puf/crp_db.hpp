@@ -19,6 +19,15 @@
 // single-shard configuration behaves exactly like the previous serial
 // class, iteration order included.
 //
+// One mutation path: every change to a shard's entries and index goes
+// through one apply function per effect (insert, remove for take and
+// evict records, health), called under the shard lock. The live calls
+// reach them through mutate(), which locks, applies, logs, unlocks and
+// then hands the records to the WAL writer; recovery replays the log
+// through the same apply functions. A challenge maps to at most one
+// CRP: insert() refuses one already stored, and insert_batch() skips
+// duplicates (the first wins), so the log never holds a duplicate.
+//
 // Durability (opt-in via CrpDurabilityOptions): every mutation appends
 // one record to a per-shard write-ahead log before the call returns.
 // Records are encoded under the shard lock (so per-shard WAL order is
@@ -28,13 +37,15 @@
 // All file I/O happens on the writer thread, strictly outside every
 // shard lock; shard locks stay leaves in the canonical lock order, and
 // the ctlint `blocking-under-lock` pass enforces that no write/fsync
-// call sneaks into a critical section. take() waits for its record to
-// reach stable storage before handing out the CRP (durable_take), which
-// is what makes the paper's one-time-use guarantee survive a crash: a
-// consumed CRP is never re-issued and never resurrected. Cold start
-// replays snapshot + WAL per shard in parallel over common::parallel.
-// With no directory configured, nothing here runs — the in-memory store
-// behaves bit-identically to the pre-durability class.
+// call sneaks into a critical section. One rule, applied at the
+// hand-off, decides whether a call waits for its record to reach stable
+// storage: always in kFsyncPerOp mode, and for a take when durable_take
+// is set (the default). That wait is what makes the paper's one-time-use
+// guarantee survive a crash: a consumed CRP is never re-issued and never
+// resurrected. Cold start replays snapshot + WAL per shard in parallel
+// over common::parallel. With no directory configured, nothing here
+// runs — the in-memory store behaves bit-identically to the
+// pre-durability class.
 #pragma once
 
 #include <algorithm>
@@ -103,7 +114,7 @@ struct CrpHealth {
 
 namespace wal {
 struct Manifest;
-struct RecordView;
+enum class RecordType : std::uint8_t;
 }  // namespace wal
 
 /// Opt-in durability configuration for CrpDatabase. An empty directory
@@ -219,14 +230,18 @@ class CrpDatabase {
   void enroll(Puf& puf, std::size_t count, crypto::ChaChaDrbg& rng,
               unsigned readings = 5);
 
-  /// Inserts one externally produced CRP.
-  void insert(Crp crp);
+  /// Inserts one externally produced CRP. Returns false — nothing
+  /// stored, nothing logged — when its challenge is already stored: a
+  /// challenge maps to one CRP, served at most once.
+  bool insert(Crp crp);
 
   /// Inserts a batch of externally produced CRPs with one lock
   /// acquisition and one WAL hand-off per touched shard — the fleet
   /// enrollment path, where per-CRP insert() would pay the lock and
-  /// writer-wakeup cost a million times over.
-  void insert_batch(std::vector<Crp> crps);
+  /// writer-wakeup cost a million times over. Duplicates, against the
+  /// store or within the batch, are skipped (the first one wins);
+  /// returns the number stored.
+  std::size_t insert_batch(std::vector<Crp> crps);
 
   /// Pops an unused, non-quarantined CRP for an authentication round
   /// (one-time use). Returns std::nullopt when no healthy CRP remains —
@@ -358,13 +373,28 @@ class CrpDatabase {
     common::MutexLock lock_;
   };
 
-  Shard& shard_for(crypto::ByteView challenge) noexcept;
-  const Shard& shard_for(crypto::ByteView challenge) const noexcept;
   std::size_t shard_index_for(crypto::ByteView challenge) const noexcept;
-
-  static void remove_at(Shard& shard, std::size_t pos)
+  /// record_success()/record_failure(): one health update and record.
+  void record_outcome(const Challenge& challenge, bool success);
+  /// Position of `challenge` in the shard's entries, if stored.
+  static std::optional<std::size_t> find(const Shard& shard,
+                                         crypto::ByteView challenge)
       NP_REQUIRES(shard.mutex);
-  static void compact(Shard& shard, std::size_t pos) NP_REQUIRES(shard.mutex);
+
+  // --- the apply functions: the only code that edits entries/index ---
+  // Live mutations and WAL replay both go through these, so a recovered
+  // store is the state the live calls built, entry order included.
+
+  /// Stores `crp` (moved from on success) with `health`. Returns false,
+  /// changing nothing, when the challenge is already stored.
+  bool apply_insert(Shard& shard, Crp& crp, const CrpHealth& health)
+      NP_REQUIRES(shard.mutex);
+  /// Removes the entry at `pos` and returns its CRP: the effect of both
+  /// a take and an evict record (they differ only in what the log says
+  /// and whether the caller waits). Swap-with-back compaction.
+  Crp apply_remove(Shard& shard, std::size_t pos) NP_REQUIRES(shard.mutex);
+  static void apply_health(Shard& shard, std::size_t pos,
+                           const CrpHealth& health) NP_REQUIRES(shard.mutex);
 
   // --- durability machinery (crp_db.cpp; all no-ops when wal_ is null) ---
 
@@ -374,13 +404,26 @@ class CrpDatabase {
   /// pointer so the in-memory store pays nothing and the header stays
   /// free of file/thread types.
   struct WalState;
+  /// What one mutation appended to its shard's pending buffer, carried
+  /// from inside the shard lock to the hand-off after it.
+  struct WalTicket;
 
-  /// Called after a mutation appended `bytes` of records under the shard
-  /// lock (now released): accounts the pending bytes, wakes the writer
-  /// on a batch boundary, and — for durable takes / fsync-per-op mode —
-  /// blocks until `seq` is on stable storage.
-  void wal_after_append(std::size_t shard, std::uint64_t seq,
-                        std::size_t bytes, bool wait_durable);
+  /// The one mutation path: locks shard `index`, runs
+  /// `apply(shard, ticket)` (which edits through the apply functions and
+  /// logs through wal_log), releases the lock, and only then hands the
+  /// appended records to the writer (wal_after_append). Returns what
+  /// `apply` returns.
+  template <typename Apply>
+  auto mutate(std::size_t index, Apply&& apply);
+  /// Sequences and encodes one record for `entry` into the shard's
+  /// pending buffer and notes it on `ticket` (no-op in memory).
+  void wal_log(Shard& shard, WalTicket& ticket, wal::RecordType type,
+               const Entry& entry) NP_REQUIRES(shard.mutex);
+  /// Called with the shard lock released: accounts the pending bytes,
+  /// wakes the writer on a batch boundary, and decides — in this one
+  /// place — whether the caller waits for its records to reach stable
+  /// storage before returning.
+  void wal_after_append(std::size_t shard, const WalTicket& ticket);
   void wal_writer_main();
   void wal_flush_pending(std::vector<crypto::Bytes>& scratch);
   void wal_rotate_and_snapshot();
@@ -388,15 +431,7 @@ class CrpDatabase {
   void wal_cleanup_stale();
   void wal_recover(const wal::Manifest& manifest, bool& roll_forward);
   ReplayCounts wal_replay_shard(std::size_t source,
-                                std::uint32_t source_count,
-                                std::uint64_t generation, bool direct,
-                                bool& orphan);
-  void apply_recovered_insert(Shard& shard, crypto::ByteView challenge,
-                              crypto::ByteView response,
-                              const CrpHealth& health)
-      NP_REQUIRES(shard.mutex);
-  void apply_recovered_record(Shard& shard, const wal::RecordView& record)
-      NP_REQUIRES(shard.mutex);
+                                const wal::Manifest& manifest, bool direct);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<WalState> wal_;

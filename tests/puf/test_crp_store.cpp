@@ -1,11 +1,13 @@
 // Durable CrpDatabase (ctest labels: io, concurrency): group-commit WAL
 // round trips, snapshot compaction, re-sharding on load, deterministic
-// post-recovery take() order, lock_stats across restarts, and the
-// fsync-per-op comparison mode. The crash-point sweeps (truncation /
-// corruption at every byte) live in tests/chaos/test_crp_crash.cpp; this
-// file covers the clean-shutdown and happy-path recovery contracts.
+// post-recovery take() order, lock_stats across restarts, the duplicate
+// insert rule, and the wait rule (which calls return only once their
+// record is on disk). The crash-point sweeps (truncation / corruption at
+// every byte) live in tests/chaos/test_crp_crash.cpp; this file covers
+// the clean-shutdown and happy-path recovery contracts.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <set>
 #include <string>
@@ -36,6 +38,26 @@ CrpDurabilityOptions durable_in(const std::string& dir) {
   CrpDurabilityOptions options;
   options.directory = dir;
   return options;
+}
+
+/// True when shard WAL `shard` (generation 0) on disk holds a record of
+/// `type` for `challenge` — read while the store is still open, so only
+/// records that were already written count.
+bool on_disk(const std::string& dir, std::size_t shards, wal::RecordType type,
+             const Challenge& challenge) {
+  for (std::size_t shard = 0; shard < shards; ++shard) {
+    const std::string path = wal::wal_path(dir, shard, 0);
+    if (!io::file_exists(path)) continue;
+    const crypto::Bytes image = io::read_file(path);
+    for (const wal::RecordView& record : wal::decode_wal(image).records) {
+      if (record.type == type &&
+          Challenge(record.challenge.begin(), record.challenge.end()) ==
+              challenge) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 /// Drains both stores serially and requires identical challenge order —
@@ -286,18 +308,99 @@ TEST(CrpStore, LockStatsResetAcrossRecoveryAndResharding) {
 }
 
 TEST(CrpStore, FsyncPerOpModeIsDurableWithoutSync) {
+  using wal::RecordType;
   const io::TempDir dir("np-crp-store");
+  CrpDurabilityOptions options = durable_in(dir.path());
+  // A huge batch + long window: a record is on disk only if its call
+  // waited for it, so each check below runs while the store is open.
+  options.batch_bytes = 64 * 1024 * 1024;
+  options.flush_interval = std::chrono::microseconds(60 * 1000 * 1000);
   {
-    CrpDurabilityOptions options = durable_in(dir.path());
-    options.mode = CrpDurabilityOptions::Mode::kFsyncPerOp;
-    CrpDatabase db(2, options);
-    for (std::uint32_t i = 0; i < 8; ++i) db.insert(make_crp(i));
-    ASSERT_TRUE(db.take().has_value());
-    // No sync(), no snapshot: every op already waited for its fsync.
+    CrpDurabilityOptions per_op = options;
+    per_op.mode = CrpDurabilityOptions::Mode::kFsyncPerOp;
+    CrpDatabase db(2, per_op);
+    db.set_quarantine_threshold(1);
+    const std::string& d = dir.path();
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      db.insert(make_crp(i));
+      EXPECT_TRUE(on_disk(d, 2, RecordType::kInsert, make_crp(i).challenge));
+    }
+    EXPECT_EQ(db.insert_batch({make_crp(8), make_crp(9)}), 2u);
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kInsert, make_crp(8).challenge));
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kInsert, make_crp(9).challenge));
+    const std::optional<Crp> scanned = db.take();
+    ASSERT_TRUE(scanned.has_value());
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kTake, scanned->challenge));
+    // Three challenges the scan did not consume.
+    std::vector<Challenge> live;
+    for (std::uint32_t i = 0; i < 10 && live.size() < 3; ++i) {
+      if (make_crp(i).challenge != scanned->challenge) {
+        live.push_back(make_crp(i).challenge);
+      }
+    }
+    ASSERT_TRUE(db.take(live[0]).has_value());
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kTake, live[0]));
+    db.record_success(live[1]);
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kHealth, live[1]));
+    db.record_failure(live[2]);  // quarantined at threshold 1
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kHealth, live[2]));
+    EXPECT_EQ(db.evict_quarantined(), 1u);
+    EXPECT_TRUE(on_disk(d, 2, RecordType::kEvict, live[2]));
   }
-  CrpDatabase db(2, durable_in(dir.path()));
-  EXPECT_EQ(db.size(), 7u);
-  EXPECT_EQ(db.recovery_stats().wal_records, 9u);
+  {
+    CrpDatabase db(2, durable_in(dir.path()));
+    EXPECT_EQ(db.size(), 7u);  // 10 inserted, 2 taken, 1 evicted
+    EXPECT_EQ(db.recovery_stats().wal_records, 15u);
+  }
+
+  // Group commit with durable_take: inserts may sit in the pending
+  // buffer, but neither take overload returns before its record is on
+  // disk.
+  const io::TempDir group_dir("np-crp-store");
+  options.directory = group_dir.path();
+  CrpDatabase db(2, options);
+  for (std::uint32_t i = 0; i < 4; ++i) db.insert(make_crp(i));
+  const std::optional<Crp> scanned = db.take();
+  ASSERT_TRUE(scanned.has_value());
+  EXPECT_TRUE(
+      on_disk(group_dir.path(), 2, RecordType::kTake, scanned->challenge));
+  const Challenge keyed = make_crp(0).challenge == scanned->challenge
+                              ? make_crp(1).challenge
+                              : make_crp(0).challenge;
+  ASSERT_TRUE(db.take(keyed).has_value());
+  EXPECT_TRUE(on_disk(group_dir.path(), 2, RecordType::kTake, keyed));
+}
+
+TEST(CrpStore, DuplicateInsertIsRejectedAndStoreReopens) {
+  const io::TempDir dir("np-crp-store");
+  const Crp first = make_crp(1);
+  Crp again = make_crp(1);
+  again.response = make_crp(2).response;  // same challenge, other response
+  {
+    CrpDatabase db(1, durable_in(dir.path()));
+    EXPECT_TRUE(db.insert(first));
+    EXPECT_FALSE(db.insert(again));
+    EXPECT_EQ(db.insert_batch({again, again}), 0u);
+    EXPECT_EQ(db.size(), 1u);
+    EXPECT_EQ(db.lookup(first.challenge), first.response);
+  }
+  // Nothing was logged for the refused inserts, so the store reopens.
+  CrpDatabase db(1, durable_in(dir.path()));
+  EXPECT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.recovery_stats().wal_records, 1u);
+  EXPECT_EQ(db.lookup(first.challenge), first.response);
+  // The one stored CRP is served once, by either take.
+  const std::optional<Crp> taken = db.take(first.challenge);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->response, first.response);
+  EXPECT_FALSE(db.lookup(first.challenge).has_value());
+  EXPECT_FALSE(db.take().has_value()) << "an orphaned duplicate was served";
+  EXPECT_EQ(db.size(), 0u);
+
+  // Within one batch the first of two duplicates wins.
+  CrpDatabase memory(1);
+  EXPECT_EQ(memory.insert_batch({first, again, make_crp(3)}), 2u);
+  EXPECT_EQ(memory.lookup(first.challenge), first.response);
 }
 
 TEST(CrpStore, SyncIsADurabilityBarrier) {
