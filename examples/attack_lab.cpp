@@ -4,16 +4,15 @@
 //   $ ./attack_lab
 //
 // Demonstrates the attacker-facing API: ML modelling, power analysis,
-// protocol manipulation (replay / tamper / desync), and the guessing
-// economics of the EKE-protected CRP.
+// the protocol-attack battery (replay, session graft, desync, forgery),
+// and the guessing economics of the EKE-protected CRP.
 #include <cstdio>
 #include <memory>
 
 #include "attacks/brute_force.hpp"
 #include "attacks/ml_attack.hpp"
+#include "attacks/protocol_attacks.hpp"
 #include "attacks/side_channel.hpp"
-#include "core/mutual_auth.hpp"
-#include "crypto/sha256.hpp"
 #include "puf/arbiter_puf.hpp"
 #include "puf/composite.hpp"
 #include "puf/photonic_puf.hpp"
@@ -57,56 +56,18 @@ int main() {
 
   // -- 3. protocol attacks ------------------------------------------------------
   std::printf("[3] protocol manipulation on HSC-IoT:\n");
-  crypto::ChaChaDrbg rng(crypto::bytes_of("lab"));
-  const auto provisioned = core::provision(photonic, rng);
-  const crypto::Bytes firmware = crypto::bytes_of("fw");
-  core::AuthDevice device(photonic, provisioned.device_crp, firmware);
-  core::AuthVerifier verifier(provisioned.verifier_secret,
-                              crypto::Sha256::hash(firmware),
-                              photonic.challenge_bytes());
-  net::DuplexChannel channel;
-
-  // Record a legitimate session, then replay it.
-  net::Message recorded{};
-  channel.set_adversary([&](net::Direction d, const net::Message& m) {
-    if (d == net::Direction::kBtoA) recorded = m;
-    return net::Verdict::pass();
-  });
-  core::run_auth_session(verifier, device, channel, 1, 100);
-  verifier.start(2, 200);
-  const bool replay_rejected =
-      verifier.process_response(recorded).status != core::AuthStatus::kOk;
-  std::printf("    replay of recorded response: %s\n",
-              replay_rejected ? "rejected" : "ACCEPTED (bug!)");
-
-  // Tamper with the device's response in flight.
-  channel.set_adversary([](net::Direction d, const net::Message& m) {
-    if (d == net::Direction::kBtoA &&
-        m.type == net::MessageType::kAuthResponse) {
-      net::Message forged = m;
-      forged.payload[0] ^= 0x01;
-      return net::Verdict::replace(forged);
-    }
-    return net::Verdict::pass();
-  });
-  const bool tamper_rejected =
-      !core::run_auth_session(verifier, device, channel, 3, 300);
-  std::printf("    in-flight tampering        : %s\n",
-              tamper_rejected ? "rejected" : "ACCEPTED (bug!)");
-
-  // Desync (drop the confirm), then recover.
-  channel.set_adversary([](net::Direction d, const net::Message& m) {
-    return (d == net::Direction::kAtoB &&
-            m.type == net::MessageType::kAuthConfirm)
-               ? net::Verdict::drop()
-               : net::Verdict::pass();
-  });
-  core::run_auth_session(verifier, device, channel, 4, 400);
-  channel.set_adversary(nullptr);
-  const bool recovered =
-      core::run_auth_session(verifier, device, channel, 5, 500);
-  std::printf("    desync then recovery       : %s\n\n",
-              recovered ? "recovered" : "LOCKED OUT (bug!)");
+  bool protocol_holds = true;
+  for (const auto& report : attacks::run_protocol_battery(5)) {
+    const char* verdict = report.attacker_succeeded
+                              ? "ATTACKER SUCCEEDED (bug!)"
+                          : report.honest_parties_recovered
+                              ? "held, parties recovered"
+                              : "LOCKED OUT (bug!)";
+    std::printf("    %-19s: %s\n", report.attack.c_str(), verdict);
+    protocol_holds = protocol_holds && !report.attacker_succeeded &&
+                     report.honest_parties_recovered;
+  }
+  std::printf("\n");
 
   // -- 4. guessing economics -----------------------------------------------------
   std::printf("[4] CRP guessing economics (%zu-byte response):\n",
@@ -117,8 +78,7 @@ int main() {
   std::printf("    EKE removes the offline channel: attacker rate falls by %.0e\n",
               attacks::eke_rate_reduction(1e9, 1.0));
 
-  const bool all_good = acc_photonic < 0.9 && replay_rejected &&
-                        tamper_rejected && recovered;
+  const bool all_good = acc_photonic < 0.9 && protocol_holds;
   std::printf("\nscorecard: %s\n", all_good ? "all defenses hold" : "GAPS FOUND");
   return all_good ? 0 : 1;
 }

@@ -260,9 +260,10 @@ LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
 # enough to emit JSON, validate the schema, and diff throughput against
 # the committed pre-PR baseline. The threshold is deliberately loose
 # (smoke iterations are noisy); it catches order-of-magnitude cliffs, not
-# single-digit drift.
+# single-digit drift. The single-evaluation photonic cases ride along
+# with the batch ones: both run through the same lane-block evaluator.
 BENCH_SMOKE_DIR="${LAST_BUILD}/bench-smoke"
-BENCH_SMOKE_FILTER='PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery'
+BENCH_SMOKE_FILTER='PhotonicEvaluate$|PhotonicEvaluateNoiseless$|PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery'
 mkdir -p "${BENCH_SMOKE_DIR}"
 for bench in bench_puf_quality bench_system_level bench_server bench_crp_store_recovery; do
   bench_bin="${LAST_BUILD}/bench/${bench}"

@@ -2,8 +2,8 @@
 // scheme — the §IV threat classes that act on messages rather than on
 // the PUF itself. Each harness sets up a fresh device/verifier pair,
 // mounts the attack through the adversarial channel, and reports whether
-// the protocol held. The benches and the attack_lab example consume
-// these; the unit tests pin the expected verdicts.
+// the protocol held. The attack_lab example prints the battery's
+// reports; the unit tests pin the expected verdicts.
 #pragma once
 
 #include <cstdint>

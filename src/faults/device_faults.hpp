@@ -13,9 +13,11 @@
 //
 // Layering: this header depends only on the PRNG primitives, so the
 // photonic and PUF layers can consume it without cycles. The hooks live
-// in `photonic::Adc` (stuck bits), `puf::PhotonicPuf::analog_core`
+// in `photonic::Adc` (stuck bits) and `puf::PhotonicPuf::analog_core_block`
 // (photodiode/laser/thermal/phase faults, noisy path only — the
-// verifier-side noiseless model stays ideal by construction).
+// verifier-side noiseless model stays ideal by construction). Thermal
+// transients and phase aging move the operating point per evaluation, so
+// faulted evaluations run as one-lane blocks.
 #pragma once
 
 #include <cstddef>

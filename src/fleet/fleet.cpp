@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -93,18 +92,14 @@ std::uint64_t FleetSimulator::challenge_word(
 
 puf::Challenge FleetSimulator::challenge_of(std::size_t device,
                                             std::uint32_t generation) const {
-  puf::Challenge challenge(config_.puf.challenge_bytes, 0);
-  const std::uint64_t word = challenge_word(device, generation);
-  std::memcpy(challenge.data(), &word,
-              std::min<std::size_t>(config_.puf.challenge_bytes, 8));
-  return challenge;
+  return SyntheticPuf::challenge_bytes_of(challenge_word(device, generation));
 }
 
 puf::Crp FleetSimulator::harvest(const SyntheticPuf& puf, std::size_t device,
                                  std::uint32_t generation) const {
   const std::uint64_t word = challenge_word(device, generation);
   puf::Crp crp;
-  crp.challenge = puf.challenge_bytes_of(word);
+  crp.challenge = SyntheticPuf::challenge_bytes_of(word);
   crp.response.resize(config_.puf.response_bytes);
   puf.evaluate_noiseless_into(word, crp.response.data());
   return crp;
@@ -123,6 +118,19 @@ SyntheticPuf FleetSimulator::make_device(std::size_t device) const {
 bool FleetSimulator::device_faulty(std::size_t device) const noexcept {
   return metrics::hash_sample(config_.seed ^ kFaultTag, device,
                               config_.faulty_device_rate);
+}
+
+std::size_t FleetSimulator::store(std::vector<puf::Crp> crps,
+                                  const char* where) {
+  const std::size_t staged = crps.size();
+  const std::size_t stored = db_.insert_batch(std::move(crps));
+  if (stored != staged) {
+    throw std::runtime_error(
+        std::string("FleetSimulator: challenge collision in ") + where +
+        ": stored " + std::to_string(stored) + " of " +
+        std::to_string(staged) + " CRPs");
+  }
+  return stored;
 }
 
 void FleetSimulator::refresh_cursor(std::size_t device) {
@@ -195,7 +203,7 @@ EnrollReport FleetSimulator::enroll() {
         }
       }
     }
-    db_.insert_batch(std::move(staging));
+    report.crps += store(std::move(staging), "enroll");
     for (std::size_t i = 0; i < chunk; ++i) {
       states_[chunk_start + i] =
           DeviceState{0, static_cast<std::uint32_t>(gens), 0};
@@ -205,7 +213,6 @@ EnrollReport FleetSimulator::enroll() {
   db_.sync();
 
   report.devices = config_.devices;
-  report.crps = config_.devices * gens;
   report.sampled_devices = samples.size();
   if (samples.size() >= 2) {
     report.uniqueness_estimate = metrics::uniqueness(samples, &pool());
@@ -218,6 +225,7 @@ EnrollReport FleetSimulator::enroll() {
 EnrollReport FleetSimulator::enroll_naive_serial() {
   const auto start = std::chrono::steady_clock::now();
   const std::size_t gens = config_.generations;
+  EnrollReport report;
   for (std::size_t device = 0; device < config_.devices; ++device) {
     SyntheticPuf puf = make_device(device);
     for (std::size_t g = 0; g < gens; ++g) {
@@ -226,16 +234,19 @@ EnrollReport FleetSimulator::enroll_naive_serial() {
       puf::Crp crp;
       crp.challenge = challenge;
       crp.response = puf.evaluate_noiseless(challenge);
-      db_.insert(std::move(crp));
+      if (!db_.insert(std::move(crp))) {
+        throw std::runtime_error(
+            "FleetSimulator: challenge collision in enroll_naive_serial: "
+            "the challenge is already stored");
+      }
+      ++report.crps;
     }
     // The pre-fleet durability idiom: every device's enrollment is
     // individually committed before moving on.
     db_.sync();
     states_[device] = DeviceState{0, static_cast<std::uint32_t>(gens), 0};
   }
-  EnrollReport report;
   report.devices = config_.devices;
-  report.crps = config_.devices * gens;
   report.seconds = seconds_since(start);
   report.peak_rss_bytes = MemoryProbe::read().vm_hwm_bytes;
   return report;
@@ -303,7 +314,7 @@ FleetSimulator::WaveOutcome FleetSimulator::run_wave(
         core::ProvisionedCrp{fixture->challenge, *secret},
         device_memory_);
     fixture->verifier = std::make_unique<core::AuthVerifier>(
-        *secret, memory_hash_, config_.puf.challenge_bytes);
+        *secret, memory_hash_, SyntheticPuf::kChallengeBytes);
 
     SessionFixture& f = *fixture;
     const std::uint64_t session_base =
@@ -479,7 +490,7 @@ void FleetSimulator::commit_rotation(std::vector<puf::Crp> replacements,
   // Crash-safe rotation order: durably insert every replacement CRP,
   // barrier, then consume the old ones. A crash anywhere in this
   // sequence leaves each device with >= 1 live CRP.
-  db_.insert_batch(std::move(replacements));
+  store(std::move(replacements), "rotation");
   db_.sync();
   for (const std::size_t device : devices) {
     DeviceState& s = states_[device];
@@ -533,7 +544,7 @@ std::size_t FleetSimulator::reenroll_quarantined() {
     staging.push_back(
         harvest(make_device(device), device, states_[device].next));
   }
-  db_.insert_batch(std::move(staging));
+  store(std::move(staging), "reenroll_quarantined");
   db_.sync();
   for (const std::size_t device : affected) {
     ++states_[device].next;

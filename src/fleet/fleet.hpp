@@ -219,6 +219,10 @@ class FleetSimulator {
   /// already-built PUF.
   puf::Crp harvest(const SyntheticPuf& puf, std::size_t device,
                    std::uint32_t generation) const;
+  /// Inserts `crps` into the store and returns the count stored. Throws
+  /// std::runtime_error when any challenge was already stored: the
+  /// device would otherwise be served another device's response.
+  std::size_t store(std::vector<puf::Crp> crps, const char* where);
   /// Inserts `replacements` for `devices`, syncs, then consumes each
   /// device's oldest CRP and advances its generation window.
   void commit_rotation(std::vector<puf::Crp> replacements,

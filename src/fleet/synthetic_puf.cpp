@@ -27,9 +27,6 @@ SyntheticPuf::SyntheticPuf(SyntheticPufParams params,
     : params_(params),
       device_seed_(device_seed),
       model_(std::move(drift), drift_seed) {
-  if (params_.challenge_bytes == 0 || params_.challenge_bytes > 8) {
-    throw std::invalid_argument("SyntheticPuf: challenge_bytes must be 1..8");
-  }
   if (params_.response_bytes == 0) {
     throw std::invalid_argument("SyntheticPuf: response_bytes must be > 0");
   }
@@ -111,15 +108,14 @@ std::uint64_t SyntheticPuf::challenge_word(const puf::Challenge& challenge) {
   return word;
 }
 
-puf::Challenge SyntheticPuf::challenge_bytes_of(std::uint64_t word) const {
-  puf::Challenge challenge(params_.challenge_bytes, 0);
-  std::memcpy(challenge.data(), &word,
-              std::min<std::size_t>(params_.challenge_bytes, 8));
+puf::Challenge SyntheticPuf::challenge_bytes_of(std::uint64_t word) {
+  puf::Challenge challenge(kChallengeBytes, 0);
+  std::memcpy(challenge.data(), &word, kChallengeBytes);
   return challenge;
 }
 
 puf::Response SyntheticPuf::evaluate(const puf::Challenge& challenge) {
-  if (challenge.size() != params_.challenge_bytes) {
+  if (challenge.size() != kChallengeBytes) {
     throw std::invalid_argument("SyntheticPuf: wrong challenge size");
   }
   puf::Response response(params_.response_bytes, 0);
@@ -130,7 +126,7 @@ puf::Response SyntheticPuf::evaluate(const puf::Challenge& challenge) {
 
 puf::Response SyntheticPuf::evaluate_noiseless(
     const puf::Challenge& challenge) const {
-  if (challenge.size() != params_.challenge_bytes) {
+  if (challenge.size() != kChallengeBytes) {
     throw std::invalid_argument("SyntheticPuf: wrong challenge size");
   }
   puf::Response response(params_.response_bytes, 0);

@@ -28,7 +28,6 @@
 namespace neuropuls::fleet {
 
 struct SyntheticPufParams {
-  std::size_t challenge_bytes = 8;
   std::size_t response_bytes = 16;
   /// Per-bit flip probability of a fresh (day-0, fault-free) device.
   double base_error_rate = 0.005;
@@ -48,9 +47,11 @@ class SyntheticPuf final : public puf::Puf {
                faults::DeviceFaultConfig drift = {},
                std::uint64_t drift_seed = 0);
 
-  std::size_t challenge_bytes() const override {
-    return params_.challenge_bytes;
-  }
+  /// Challenges are one full 64-bit word: narrower ones would make
+  /// cross-device collisions in a large fleet likely.
+  static constexpr std::size_t kChallengeBytes = 8;
+
+  std::size_t challenge_bytes() const override { return kChallengeBytes; }
   std::size_t response_bytes() const override {
     return params_.response_bytes;
   }
@@ -86,10 +87,9 @@ class SyntheticPuf final : public puf::Puf {
                                      std::size_t n,
                                      std::uint8_t* out) const noexcept;
 
-  /// Challenge word <-> wire bytes (little-endian, challenge_bytes wide;
-  /// words must fit or the low bytes win).
+  /// Challenge word <-> wire bytes (little-endian, kChallengeBytes wide).
   static std::uint64_t challenge_word(const puf::Challenge& challenge);
-  puf::Challenge challenge_bytes_of(std::uint64_t word) const;
+  static puf::Challenge challenge_bytes_of(std::uint64_t word);
 
   std::uint64_t device_seed() const noexcept { return device_seed_; }
   const faults::DeviceFaultModel& fault_model() const noexcept {

@@ -130,11 +130,14 @@ class ScramblerTables {
 /// win even single-threaded.
 ///
 /// Two execution modes share the tables:
-///   * scalar (lanes == 0): step_inplace/step on one PortVector;
 ///   * lane-parallel (lanes > 0): step_block on a FieldBlock of `lanes`
-///     independent challenges, every op vectorized across lanes. Noiseless
-///     lane results are bit-identical to the scalar mode (common/simd.hpp
-///     documents the argument; ctest asserts it).
+///     independent challenges, every op vectorized across lanes — the
+///     mode every PhotonicPuf measurement runs through (one lane for a
+///     single evaluation);
+///   * scalar (lanes == 0): step_inplace/step on one PortVector — the
+///     component-level reference the lane kernels are tested against.
+///     Lane results are bit-identical to it (common/simd.hpp documents
+///     the argument; ctest asserts it).
 class TimeDomainScrambler {
  public:
   /// Freezes the static transfer constants at `op` and builds per-ring

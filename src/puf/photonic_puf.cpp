@@ -107,26 +107,20 @@ void PhotonicPuf::calibrate() {
   // on contiguous spans and no per-challenge nested sample structures are
   // ever retained. (Exact medians need every sample, so the flat buffer
   // is the irreducible footprint; the former layout added one heap
-  // vector per challenge per window on top of it.)
+  // vector per challenge per window on top of it.) thresholds_ is still
+  // empty here, so the margins are the raw current differences.
   const std::size_t windows = config_.challenge_bits;
   const std::size_t pairs = config_.design.ports / 2;
   std::vector<double> slot_samples(windows * pairs * count);
-  const std::size_t lanes = simd::kDefaultLanes;
-  const std::size_t blocks = (count + lanes - 1) / lanes;
-  common::parallel_for(blocks, [&](std::size_t blk) {
-    const std::size_t begin = blk * lanes;
-    const std::size_t n = std::min(lanes, count - begin);
-    const auto analog = analog_core_block(challenges.data() + begin, n,
-                                          /*noisy=*/false, nullptr,
-                                          config_.temperature);
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t w = 0; w < windows; ++w) {
-        for (std::size_t p = 0; p < pairs; ++p) {
-          slot_samples[(w * pairs + p) * count + begin + j] = analog[j][w][p];
-        }
-      }
-    }
-  });
+  for_each_block(challenges, /*noisy=*/false, 0, nullptr,
+                 [&](std::size_t i, const Margins& analog) {
+                   for (std::size_t w = 0; w < windows; ++w) {
+                     for (std::size_t p = 0; p < pairs; ++p) {
+                       slot_samples[(w * pairs + p) * count + i] =
+                           analog[w][p];
+                     }
+                   }
+                 });
 
   thresholds_.assign(windows, std::vector<double>(pairs, 0.0));
   for (std::size_t w = 0; w < windows; ++w) {
@@ -142,128 +136,9 @@ void PhotonicPuf::calibrate() {
   }
 }
 
-void PhotonicPuf::subtract_thresholds(
-    std::vector<std::vector<double>>& analog) const {
-  if (thresholds_.empty()) return;
-  for (std::size_t w = 0; w < analog.size(); ++w) {
-    for (std::size_t p = 0; p < analog[w].size(); ++p) {
-      analog[w][p] -= thresholds_[w][p];
-    }
-  }
-}
-
-std::vector<std::vector<double>> PhotonicPuf::analog_core(
-    const Challenge& challenge, bool noisy, std::uint64_t noise_seed,
-    double temperature, std::uint64_t eval_index) const {
-  if (challenge.size() != challenge_bytes()) {
-    throw std::invalid_argument("PhotonicPuf: wrong challenge size");
-  }
-
-  // Device faults perturb only the physical measurement path, never the
-  // verifier-side model: the noiseless branch always sees a healthy chip.
-  const faults::DeviceFaultModel* fm =
-      (noisy && fault_model_) ? fault_model_.get() : nullptr;
-  if (fm != nullptr) {
-    temperature += fm->temperature_offset(eval_index);
-  }
-
-  const OperatingPoint op{config_.laser.wavelength, temperature};
-  const std::size_t ports = config_.design.ports;
-  const std::size_t pairs = ports / 2;
-  const std::size_t spb = config_.samples_per_bit;
-
-  // Source chain. The noiseless path replaces the laser with an ideal
-  // constant carrier but keeps the (deterministic) MZM dynamics.
-  photonic::LaserParameters laser_params = config_.laser;
-  laser_params.power_mw *= config_.laser_power_scale;
-  if (fm != nullptr) {
-    laser_params.power_mw *= fm->laser_scale(eval_index);
-  }
-  photonic::Laser laser(laser_params, config_.sample_rate_hz,
-                        rng::derive_seed(noise_seed, 0x11));
-  photonic::MachZehnderModulator mzm(config_.modulator);
-  const double ideal_amp = laser.mean_amplitude();
-
-  // Static transfer constants come from the per-operating-point cache and
-  // are shared across every concurrent evaluation; only the ring delay
-  // lines (the scrambler's mutable state) are built per call.
-  const auto tables = operating_tables(op);
-  photonic::TimeDomainScrambler scrambler(tables->scrambler);
-  const photonic::PortVector* taps_ptr =
-      &tables->scrambler->input_coefficients();
-  // Phase-shifter aging rotates each input tap; pointer swap so the
-  // healthy path never copies the vector. Degraded photodiodes scale the
-  // detected photocurrent per port (the Photodiode ctor rejects
-  // responsivity <= 0, so a dead diode lives here as a post-detect 0.0).
-  photonic::PortVector aged_taps;
-  std::vector<double> pd_scale;
-  if (fm != nullptr) {
-    aged_taps = *taps_ptr;
-    for (std::size_t p = 0; p < ports; ++p) {
-      aged_taps[p] *= std::polar(1.0, fm->phase_drift(eval_index, p));
-    }
-    taps_ptr = &aged_taps;
-    pd_scale.resize(ports);
-    for (std::size_t p = 0; p < ports; ++p) {
-      pd_scale[p] = fm->photodiode_scale(p);
-    }
-  }
-  const photonic::PortVector& taps = *taps_ptr;
-
-  // Per-port detectors. The noiseless path needs no per-port noise
-  // streams — mean_current is parameter-only — so one detector serves
-  // every port.
-  std::vector<photonic::Photodiode> pds;
-  if (noisy) {
-    pds.reserve(ports);
-    for (std::size_t p = 0; p < ports; ++p) {
-      pds.emplace_back(config_.photodiode,
-                       rng::derive_seed(noise_seed, 0x20 + p));
-    }
-  }
-  const photonic::Photodiode mean_pd(config_.photodiode, 0);
-
-  std::vector<std::vector<double>> analog(
-      config_.challenge_bits, std::vector<double>(pairs, 0.0));
-
-  photonic::PortVector state(ports, Complex{0.0, 0.0});
-  std::vector<double> window_current(ports, 0.0);
-
-  for (std::size_t bit_index = 0; bit_index < config_.challenge_bits;
-       ++bit_index) {
-    const bool bit =
-        (challenge[bit_index / 8] >> (7 - bit_index % 8)) & 1;
-    std::fill(window_current.begin(), window_current.end(), 0.0);
-
-    for (std::size_t s = 0; s < spb; ++s) {
-      const Complex carrier =
-          noisy ? laser.sample() : Complex{ideal_amp, 0.0};
-      const Complex modulated = mzm.modulate(carrier, bit);
-      // Fig. 2: the modulated beam is first split across all paths; the
-      // scrambler then transforms the state buffer in place — no per-
-      // sample allocation.
-      for (std::size_t p = 0; p < ports; ++p) state[p] = modulated * taps[p];
-      scrambler.step_inplace(state);
-      for (std::size_t p = 0; p < ports; ++p) {
-        double current =
-            noisy ? pds[p].detect(state[p]) : mean_pd.mean_current(state[p]);
-        if (fm != nullptr) current *= pd_scale[p];
-        window_current[p] += current;
-      }
-    }
-
-    for (std::size_t pair = 0; pair < pairs; ++pair) {
-      analog[bit_index][pair] =
-          (window_current[2 * pair] - window_current[2 * pair + 1]) /
-          static_cast<double>(spb);
-    }
-  }
-  return analog;
-}
-
-std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
+std::vector<PhotonicPuf::Margins> PhotonicPuf::analog_core_block(
     const Challenge* challenges, std::size_t lane_count, bool noisy,
-    const std::uint64_t* noise_seeds, double temperature) const {
+    const std::uint64_t* counters, double temperature) const {
   if (lane_count == 0) {
     throw std::invalid_argument("PhotonicPuf: empty lane block");
   }
@@ -273,20 +148,57 @@ std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
     }
   }
 
+  // Device faults perturb only the physical measurement path, never the
+  // verifier-side model: the noiseless branch always sees a healthy chip.
+  // The thermal offset and the tap drift give every faulted evaluation
+  // its own operating point, which lanes sharing one scrambler cannot
+  // have — so a faulted block holds exactly one lane.
+  const faults::DeviceFaultModel* fm = noisy ? fault_model_.get() : nullptr;
+  if (fm != nullptr) {
+    if (lane_count != 1) {
+      throw std::invalid_argument(
+          "PhotonicPuf: a faulted evaluation needs a one-lane block");
+    }
+    temperature += fm->temperature_offset(counters[0]);
+  }
+
   const OperatingPoint op{config_.laser.wavelength, temperature};
   const std::size_t ports = config_.design.ports;
   const std::size_t pairs = ports / 2;
   const std::size_t spb = config_.samples_per_bit;
   const std::size_t w = lane_count;
 
+  // Static transfer constants come from the per-operating-point cache and
+  // are shared across every concurrent evaluation; only the ring delay
+  // lines (the scrambler's mutable state) are built per call.
+  const auto tables = operating_tables(op);
+  photonic::TimeDomainScrambler scrambler(tables->scrambler, w);
+  photonic::PortVector taps = tables->scrambler->input_coefficients();
+
+  photonic::LaserParameters laser_params = config_.laser;
+  laser_params.power_mw *= config_.laser_power_scale;
+  // Laser droop scales the emitted power, phase-shifter aging rotates
+  // each input tap, and degraded photodiodes scale the detected
+  // photocurrent per port (the Photodiode ctor rejects responsivity <= 0,
+  // so a dead diode lives here as a post-detect 0.0).
+  std::vector<double> pd_scale;
+  if (fm != nullptr) {
+    laser_params.power_mw *= fm->laser_scale(counters[0]);
+    for (std::size_t p = 0; p < ports; ++p) {
+      taps[p] *= std::polar(1.0, fm->phase_drift(counters[0], p));
+      pd_scale.push_back(fm->photodiode_scale(p));
+    }
+  }
+  // The noiseless path replaces the laser with an ideal constant carrier
+  // but keeps the (deterministic) MZM dynamics.
+  const double ideal_amp = std::sqrt(laser_params.power_mw * 1e-3);
+
   // Per-lane source chains. The MZM is deterministic but stateful (one-
   // pole drive filter), so every lane carries its own; the noisy path
   // additionally gives each lane its own Laser and per-port Photodiodes,
-  // seeded exactly as the serial path seeds them from that lane's noise
-  // seed — so each lane consumes the same RNG streams in the same order.
-  photonic::LaserParameters laser_params = config_.laser;
-  laser_params.power_mw *= config_.laser_power_scale;
-  const double ideal_amp = std::sqrt(laser_params.power_mw * 1e-3);
+  // all seeded from derive_seed(device_seed_, counters[lane]) — so a
+  // lane's noise depends only on its evaluation counter, never on its
+  // block or position.
   std::vector<photonic::MachZehnderModulator> mzms;
   mzms.reserve(w);
   std::vector<photonic::Laser> lasers;
@@ -298,23 +210,18 @@ std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
   for (std::size_t lane = 0; lane < w; ++lane) {
     mzms.emplace_back(config_.modulator);
     if (noisy) {
+      const std::uint64_t seed = rng::derive_seed(device_seed_, counters[lane]);
       lasers.emplace_back(laser_params, config_.sample_rate_hz,
-                          rng::derive_seed(noise_seeds[lane], 0x11));
+                          rng::derive_seed(seed, 0x11));
       for (std::size_t p = 0; p < ports; ++p) {
-        pds.emplace_back(config_.photodiode,
-                         rng::derive_seed(noise_seeds[lane], 0x20 + p));
+        pds.emplace_back(config_.photodiode, rng::derive_seed(seed, 0x20 + p));
       }
     }
   }
   const photonic::Photodiode mean_pd(config_.photodiode, 0);
 
-  const auto tables = operating_tables(op);
-  photonic::TimeDomainScrambler scrambler(tables->scrambler, w);
-  const photonic::PortVector& taps = tables->scrambler->input_coefficients();
-
-  std::vector<std::vector<std::vector<double>>> analog(
-      w, std::vector<std::vector<double>>(config_.challenge_bits,
-                                          std::vector<double>(pairs, 0.0)));
+  std::vector<Margins> analog(
+      w, Margins(config_.challenge_bits, std::vector<double>(pairs, 0.0)));
 
   photonic::FieldBlock block(ports, w);
   // SoA lane planes for the per-sample modulated carriers and the
@@ -341,6 +248,8 @@ std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
         mod_re[lane] = modulated.real();
         mod_im[lane] = modulated.imag();
       }
+      // Fig. 2: the modulated beam is first split across all paths; the
+      // scrambler then transforms the block in place.
       for (std::size_t p = 0; p < ports; ++p) {
         simd::complex_fanout(mod_re.data(), mod_im.data(), taps[p].real(),
                              taps[p].imag(), block.re(p), block.im(p), w);
@@ -350,7 +259,9 @@ std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
         for (std::size_t p = 0; p < ports; ++p) {
           double* acc = window_current.data() + p * w;
           for (std::size_t lane = 0; lane < w; ++lane) {
-            acc[lane] += pds[lane * ports + p].detect(block.at(p, lane));
+            double current = pds[lane * ports + p].detect(block.at(p, lane));
+            if (fm != nullptr) current *= pd_scale[p];
+            acc[lane] += current;
           }
         }
       } else {
@@ -363,21 +274,43 @@ std::vector<std::vector<std::vector<double>>> PhotonicPuf::analog_core_block(
 
     for (std::size_t lane = 0; lane < w; ++lane) {
       for (std::size_t pair = 0; pair < pairs; ++pair) {
-        analog[lane][bit_index][pair] =
-            (window_current[2 * pair * w + lane] -
-             window_current[(2 * pair + 1) * w + lane]) /
-            static_cast<double>(spb);
+        double margin = (window_current[2 * pair * w + lane] -
+                         window_current[(2 * pair + 1) * w + lane]) /
+                        static_cast<double>(spb);
+        if (!thresholds_.empty()) margin -= thresholds_[bit_index][pair];
+        analog[lane][bit_index][pair] = margin;
       }
     }
   }
   return analog;
 }
 
-Response PhotonicPuf::threshold_bits(
-    const std::vector<std::vector<double>>& analog) const {
+void PhotonicPuf::for_each_block(
+    const std::vector<Challenge>& challenges, bool noisy, std::uint64_t base,
+    common::ThreadPool* pool,
+    const std::function<void(std::size_t, const Margins&)>& sink) const {
+  // Lane j of block b is item b*W + j with counter base + item + 1, so
+  // seeds bind to item index, never to scheduling order or block width.
+  const std::size_t lanes =
+      (noisy && fault_model_) ? 1 : simd::kDefaultLanes;
+  const std::size_t blocks = (challenges.size() + lanes - 1) / lanes;
+  run_parallel(pool, blocks, [&](std::size_t blk) {
+    const std::size_t begin = blk * lanes;
+    const std::size_t count = std::min(lanes, challenges.size() - begin);
+    std::vector<std::uint64_t> counters(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      counters[j] = base + static_cast<std::uint64_t>(begin + j) + 1;
+    }
+    auto analog = analog_core_block(challenges.data() + begin, count, noisy,
+                                    counters.data(), config_.temperature);
+    for (std::size_t j = 0; j < count; ++j) sink(begin + j, analog[j]);
+  });
+}
+
+Response PhotonicPuf::threshold_bits(const Margins& margins) const {
   Response out(response_bytes(), 0);
   std::size_t bit = 0;
-  for (const auto& row : analog) {
+  for (const auto& row : margins) {
     for (double delta : row) {
       if (delta > 0.0) {
         out[bit / 8] |= static_cast<std::uint8_t>(1u << (7 - bit % 8));
@@ -389,13 +322,7 @@ Response PhotonicPuf::threshold_bits(
 }
 
 Response PhotonicPuf::evaluate(const Challenge& challenge) {
-  const std::uint64_t counter =
-      eval_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::uint64_t seed = rng::derive_seed(device_seed_, counter);
-  auto margins = analog_core(challenge, /*noisy=*/true, seed,
-                             config_.temperature, counter);
-  subtract_thresholds(margins);
-  return threshold_bits(margins);
+  return threshold_bits(evaluate_analog(challenge, /*noisy=*/true));
 }
 
 std::vector<Response> PhotonicPuf::evaluate_batch(
@@ -405,92 +332,40 @@ std::vector<Response> PhotonicPuf::evaluate_batch(
   // batch bit-identical to the equivalent serial evaluate() sequence.
   const std::uint64_t base = eval_counter_.fetch_add(
       challenges.size(), std::memory_order_relaxed);
-  if (fault_model_) {
-    // Fault-model path: the SoA block engine shares one operating point
-    // (temperature) across all lanes, which a per-evaluation thermal
-    // transient would violate. Route each item through the scalar core —
-    // still parallel across the pool, still seeded by item index, so the
-    // batch stays bit-identical to the serial evaluate() sequence.
-    std::vector<Response> responses_scalar(challenges.size());
-    run_parallel(pool, challenges.size(), [&](std::size_t i) {
-      const std::uint64_t counter = base + static_cast<std::uint64_t>(i) + 1;
-      auto margins = analog_core(challenges[i], /*noisy=*/true,
-                                 rng::derive_seed(device_seed_, counter),
-                                 config_.temperature, counter);
-      subtract_thresholds(margins);
-      responses_scalar[i] = threshold_bits(margins);
-    });
-    return responses_scalar;
-  }
-  // Each pool task evaluates one lane block of kDefaultLanes challenges
-  // through the SoA engine; lane j of block b is item b*W + j, so seeds
-  // still bind to item index, never to scheduling order.
-  const std::size_t lanes = simd::kDefaultLanes;
-  const std::size_t blocks = (challenges.size() + lanes - 1) / lanes;
   std::vector<Response> responses(challenges.size());
-  run_parallel(pool, blocks, [&](std::size_t blk) {
-    const std::size_t begin = blk * lanes;
-    const std::size_t count = std::min(lanes, challenges.size() - begin);
-    std::vector<std::uint64_t> seeds(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      seeds[j] = rng::derive_seed(
-          device_seed_, base + static_cast<std::uint64_t>(begin + j) + 1);
-    }
-    auto analog = analog_core_block(challenges.data() + begin, count,
-                                    /*noisy=*/true, seeds.data(),
-                                    config_.temperature);
-    for (std::size_t j = 0; j < count; ++j) {
-      subtract_thresholds(analog[j]);
-      responses[begin + j] = threshold_bits(analog[j]);
-    }
-  });
+  for_each_block(challenges, /*noisy=*/true, base, pool,
+                 [&](std::size_t i, const Margins& margins) {
+                   responses[i] = threshold_bits(margins);
+                 });
   return responses;
 }
 
 std::vector<Response> PhotonicPuf::evaluate_noiseless_batch(
     const std::vector<Challenge>& challenges, common::ThreadPool* pool) const {
-  const std::size_t lanes = simd::kDefaultLanes;
-  const std::size_t blocks = (challenges.size() + lanes - 1) / lanes;
   std::vector<Response> responses(challenges.size());
-  run_parallel(pool, blocks, [&](std::size_t blk) {
-    const std::size_t begin = blk * lanes;
-    const std::size_t count = std::min(lanes, challenges.size() - begin);
-    auto analog = analog_core_block(challenges.data() + begin, count,
-                                    /*noisy=*/false, nullptr,
-                                    config_.temperature);
-    for (std::size_t j = 0; j < count; ++j) {
-      subtract_thresholds(analog[j]);
-      responses[begin + j] = threshold_bits(analog[j]);
-    }
-  });
+  for_each_block(challenges, /*noisy=*/false, 0, pool,
+                 [&](std::size_t i, const Margins& margins) {
+                   responses[i] = threshold_bits(margins);
+                 });
   return responses;
 }
 
 Response PhotonicPuf::evaluate_noiseless(const Challenge& challenge) const {
-  auto margins = analog_core(challenge, /*noisy=*/false, 0,
-                             config_.temperature, 0);
-  subtract_thresholds(margins);
-  return threshold_bits(margins);
+  return evaluate_noiseless_at(challenge, config_.temperature);
 }
 
 Response PhotonicPuf::evaluate_noiseless_at(const Challenge& challenge,
                                             double temperature_kelvin) const {
-  auto margins =
-      analog_core(challenge, /*noisy=*/false, 0, temperature_kelvin, 0);
-  subtract_thresholds(margins);
-  return threshold_bits(margins);
+  return threshold_bits(analog_core_block(&challenge, 1, /*noisy=*/false,
+                                          nullptr, temperature_kelvin)[0]);
 }
 
 std::vector<std::vector<double>> PhotonicPuf::evaluate_analog(
     const Challenge& challenge, bool noisy) {
   const std::uint64_t counter =
       noisy ? eval_counter_.fetch_add(1, std::memory_order_relaxed) + 1 : 0;
-  const std::uint64_t seed =
-      noisy ? rng::derive_seed(device_seed_, counter) : 0;
-  auto margins =
-      analog_core(challenge, noisy, seed, config_.temperature, counter);
-  subtract_thresholds(margins);
-  return margins;
+  return std::move(analog_core_block(&challenge, 1, noisy, &counter,
+                                     config_.temperature)[0]);
 }
 
 double PhotonicPuf::response_throughput_bps() const noexcept {

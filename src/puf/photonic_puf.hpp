@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -180,30 +181,36 @@ class PhotonicPuf final : public Puf {
   std::shared_ptr<const OperatingTables> operating_tables(
       const photonic::OperatingPoint& op) const;
 
-  // `eval_index` is the evaluation-counter value of this measurement —
-  // the key the attached fault model uses for laser droop, thermal
-  // transients, and phase aging. Noiseless (model) evaluations pass 0 and
-  // never see faults.
-  std::vector<std::vector<double>> analog_core(const Challenge& challenge,
-                                               bool noisy,
-                                               std::uint64_t noise_seed,
-                                               double temperature,
-                                               std::uint64_t eval_index) const;
-  // Lane-parallel counterpart of analog_core: evaluates `lane_count`
-  // independent challenges through one SoA FieldBlock, vectorizing the
-  // field transport (fan-out, couplers, waveguides, rings) and the
-  // noiseless square-law integration across lanes. Per-lane sources stay
-  // scalar: each lane gets its own MZM, and — when noisy — its own Laser
-  // and per-port Photodiodes seeded from noise_seeds[lane], preserving the
-  // exact RNG draw order of the serial path. Returns one (window x pair)
-  // analog matrix per lane; lane j is bit-identical to
-  // analog_core(challenges[j], ...). noise_seeds may be null when !noisy.
-  std::vector<std::vector<std::vector<double>>> analog_core_block(
-      const Challenge* challenges, std::size_t lane_count, bool noisy,
-      const std::uint64_t* noise_seeds, double temperature) const;
-  void subtract_thresholds(std::vector<std::vector<double>>& analog) const;
-  Response threshold_bits(
-      const std::vector<std::vector<double>>& margins) const;
+  // One (window x pair) matrix of readout margins: current difference
+  // minus the calibrated slot threshold (raw difference before
+  // calibration).
+  using Margins = std::vector<std::vector<double>>;
+
+  // The one evaluator of the Fig. 2 chain: runs `lane_count` independent
+  // challenges through one SoA FieldBlock, vectorizing the field
+  // transport (fan-out, couplers, waveguides, rings) and the noiseless
+  // square-law integration across lanes. Per-lane sources stay scalar:
+  // each lane gets its own MZM and — when noisy — its own Laser and
+  // per-port Photodiodes seeded from derive_seed(device_seed_,
+  // counters[lane]), so lane results do not depend on the block width.
+  // The counter is also the key of the attached fault model's laser
+  // droop, thermal transient and phase aging; those move the operating
+  // point per evaluation, so a noisy block under a fault model must hold
+  // exactly one lane (std::invalid_argument otherwise). `counters` may be
+  // null when !noisy. Returns one Margins per lane.
+  std::vector<Margins> analog_core_block(const Challenge* challenges,
+                                         std::size_t lane_count, bool noisy,
+                                         const std::uint64_t* counters,
+                                         double temperature) const;
+  // Evaluates every challenge at the configured temperature in lane
+  // blocks across `pool` (global pool when null) and hands item i's
+  // margins to sink(i, margins); noisy item i takes counter base + i + 1.
+  // Blocks are one lane wide under a fault model, kDefaultLanes otherwise.
+  void for_each_block(
+      const std::vector<Challenge>& challenges, bool noisy,
+      std::uint64_t base, common::ThreadPool* pool,
+      const std::function<void(std::size_t, const Margins&)>& sink) const;
+  Response threshold_bits(const Margins& margins) const;
   void calibrate();
 
   PhotonicPufConfig config_;

@@ -10,6 +10,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/parallel.hpp"
+#include "common/simd.hpp"
 #include "crypto/bytes.hpp"
 #include "faults/device_faults.hpp"
 #include "faults/faulty_channel.hpp"
@@ -191,27 +193,40 @@ TEST(PhotonicPufFaults, DeadPhotodiodeCorruptsResponses) {
 }
 
 TEST(PhotonicPufFaults, BatchMatchesSerialUnderFaults) {
+  // Faulted batches run one lane per block; at every size around the
+  // lane width, and on one and four threads, they must reproduce the
+  // serial evaluate() sequence exactly.
   DeviceFaultConfig config;
   config.thermal = {0.3, 3.0};
   config.laser_droop = {1e-3, 0.8};
   config.phase_aging = {1e-4, 0.2};
   const auto model = std::make_shared<const DeviceFaultModel>(config, 11);
 
-  auto serial = make_puf();
-  serial.set_fault_model(model);
-  auto batched = make_puf();
-  batched.set_fault_model(model);
+  constexpr std::size_t kW = simd::kDefaultLanes;
+  common::ThreadPool one(1);
+  common::ThreadPool four(4);
+  for (common::ThreadPool* pool : {&one, &four}) {
+    for (const std::size_t n : {std::size_t{1}, kW - 1, kW, kW + 1,
+                                3 * kW + 2}) {
+      auto serial = make_puf();
+      serial.set_fault_model(model);
+      auto batched = make_puf();
+      batched.set_fault_model(model);
 
-  std::vector<puf::Challenge> challenges;
-  for (int i = 0; i < 12; ++i) {
-    challenges.push_back(make_challenge(i, serial.challenge_bytes()));
-  }
-  std::vector<puf::Response> expected;
-  for (const auto& c : challenges) expected.push_back(serial.evaluate(c));
-  const auto got = batched.evaluate_batch(challenges);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "item " << i;
+      std::vector<puf::Challenge> challenges;
+      for (std::size_t i = 0; i < n; ++i) {
+        challenges.push_back(make_challenge(i, serial.challenge_bytes()));
+      }
+      std::vector<puf::Response> expected;
+      for (const auto& c : challenges) expected.push_back(serial.evaluate(c));
+      const auto got = batched.evaluate_batch(challenges, pool);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i])
+            << "item " << i << " of " << n << " on " << pool->thread_count()
+            << " threads";
+      }
+    }
   }
 }
 

@@ -88,6 +88,48 @@ TEST(FleetEnroll, NaiveSerialProducesTheSameStore) {
   }
 }
 
+TEST(FleetEnroll, ChallengeCollisionFailsLoudly) {
+  // A derived challenge that is already stored (another device's, or a
+  // stale entry) must stop every CRP-storing path. Skipping it silently
+  // would leave the device authenticating against the stored response,
+  // which is not its own.
+  const auto plant = [](puf::CrpDatabase& db, const FleetSimulator& fleet,
+                        std::size_t device, std::uint32_t generation) {
+    puf::Crp crp;
+    crp.challenge = fleet.challenge_of(device, generation);
+    crp.response = crypto::Bytes(16, 0xEE);
+    ASSERT_TRUE(db.insert(std::move(crp)));
+  };
+  {
+    puf::CrpDatabase db(4);
+    FleetSimulator fleet(small_config(8, 2), db);
+    plant(db, fleet, 5, 0);
+    EXPECT_THROW(fleet.enroll(), std::runtime_error);
+  }
+  {
+    puf::CrpDatabase db(4);
+    FleetSimulator fleet(small_config(8, 2), db);
+    plant(db, fleet, 5, 1);
+    EXPECT_THROW(fleet.enroll_naive_serial(), std::runtime_error);
+  }
+  {
+    puf::CrpDatabase db(4);
+    FleetSimulator fleet(small_config(8, 1), db);
+    fleet.enroll();
+    plant(db, fleet, 2, 1);
+    EXPECT_THROW(fleet.run_rotation_sweep(), std::runtime_error);
+  }
+  {
+    puf::CrpDatabase db(4);
+    db.set_quarantine_threshold(1);
+    FleetSimulator fleet(small_config(8, 1), db);
+    fleet.enroll();
+    db.record_failure(fleet.challenge_of(3, 0));
+    plant(db, fleet, 3, 1);
+    EXPECT_THROW(fleet.reenroll_quarantined(), std::runtime_error);
+  }
+}
+
 TEST(SyntheticPufContract, PopulationLooksLikeAStrongPuf) {
   puf::CrpDatabase db(4);
   FleetConfig config = small_config(200, 1);
@@ -137,7 +179,7 @@ TEST(SyntheticPufContract, MatchesPhotonicUniquenessStatistic) {
     params.response_bytes = photonic.back().size();
     const SyntheticPuf synth(params, 0x1000 + d);
     puf::Challenge synth_challenge = challenge;
-    synth_challenge.resize(params.challenge_bytes, 0);
+    synth_challenge.resize(synth.challenge_bytes(), 0);
     synthetic.push_back(synth.evaluate_noiseless(synth_challenge));
   }
   const double real_u = metrics::uniqueness(photonic);

@@ -3,9 +3,14 @@
 // §IV chip-binding / challenge-encryption constructions.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/sha256.hpp"
+#include "faults/device_faults.hpp"
 
 #include "puf/composite.hpp"
 #include "puf/photonic_puf.hpp"
@@ -134,6 +139,120 @@ TEST(PhotonicPuf, ThroughputMeetsAttestationClaim) {
 TEST(PhotonicPuf, ResponseLifetimeBelow100ns) {
   PhotonicPuf puf(small_photonic_config(), 11, 0);
   EXPECT_LT(puf.interrogation_time_s(), 100e-9);
+}
+
+// ---- PUF-level golden digests ------------------------------------------------
+//
+// SHA-256 digests of everything a PhotonicPuf measurement returns, fixed
+// from a reference build: responses (noisy and noiseless), thermally
+// compensated model responses, analog margins, and the faulted noisy path
+// (serial and batch). Any change to the evaluation engine that moves one
+// response bit or one margin ulp fails here, on every build flavor.
+
+constexpr std::size_t kGoldenChallenges = 64;
+
+std::vector<Challenge> golden_challenges(const PhotonicPuf& puf) {
+  crypto::ChaChaDrbg rng(crypto::bytes_of("np-phot-golden"));
+  std::vector<Challenge> out;
+  for (std::size_t i = 0; i < kGoldenChallenges; ++i) {
+    out.push_back(rng.generate(puf.challenge_bytes()));
+  }
+  return out;
+}
+
+std::string digest_of(const std::vector<Response>& responses) {
+  crypto::Sha256 h;
+  for (const auto& r : responses) h.update(r);
+  const auto d = h.finalize();
+  return crypto::to_hex(d);
+}
+
+// Margins hashed as little-endian IEEE-754 binary64, row by row.
+void absorb_margins(crypto::Sha256& h,
+                    const std::vector<std::vector<double>>& margins) {
+  for (const auto& row : margins) {
+    for (double v : row) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      std::uint8_t le[8];
+      for (std::size_t k = 0; k < 8; ++k) {
+        le[k] = static_cast<std::uint8_t>(bits >> (8 * k));
+      }
+      h.update(le);
+    }
+  }
+}
+
+struct GoldenDigests {
+  const char* evaluate;
+  const char* noiseless;
+  const char* noiseless_plus_5k;
+  const char* noisy_margins;
+};
+
+void expect_golden(const PhotonicPufConfig& cfg, const GoldenDigests& want) {
+  PhotonicPuf puf(cfg, 0x601D, 3);
+  const auto challenges = golden_challenges(puf);
+  std::vector<Response> noisy;
+  std::vector<Response> noiseless;
+  std::vector<Response> warm;
+  for (const auto& c : challenges) {
+    noisy.push_back(puf.evaluate(c));
+    noiseless.push_back(puf.evaluate_noiseless(c));
+    warm.push_back(puf.evaluate_noiseless_at(c, cfg.temperature + 5.0));
+  }
+  crypto::Sha256 margins;
+  for (const auto& c : challenges) {
+    absorb_margins(margins, puf.evaluate_analog(c, /*noisy=*/true));
+  }
+  EXPECT_EQ(digest_of(noisy), want.evaluate);
+  EXPECT_EQ(digest_of(noiseless), want.noiseless);
+  EXPECT_EQ(digest_of(warm), want.noiseless_plus_5k);
+  EXPECT_EQ(crypto::to_hex(margins.finalize()), want.noisy_margins);
+}
+
+TEST(PhotonicPufGolden, SmallConfig) {
+  expect_golden(
+      small_photonic_config(),
+      {"566d4b51da83371b9b15c6d30c0c711355c9d7b506f106aecc1803ff94b57267",
+       "f3d48779144258168bd923400117a181f5c8b7c3152353c2b729fb67ac96c0d4",
+       "f43226f09ed341252ab0e486c858b453cfe7b051225c402fd2bb2e03abda4366",
+       "4137a6f297fdf7704bfb00906cc955477753fc0f727ed3de480de3cea74dee3d"});
+}
+
+TEST(PhotonicPufGolden, DefaultConfig) {
+  expect_golden(
+      PhotonicPufConfig{},
+      {"5af9f94825d034555bd3d7c09811f98b69a9ba88d0975c0998f3ecf2a3493fb5",
+       "d230791eaebd01cee3bc2c1874f98b8cb893a9801188ecd1f1f85ba8b77ed1ab",
+       "e949d651cc3625b9b3e7965fc0dfb2cf91171f355cf4917c2c716b5afbca9cbd",
+       "4c56bc07a51775baf6792caf661e7f82dd688763b46dc26016cfc40928604d11"});
+}
+
+TEST(PhotonicPufGolden, FaultedSerialAndBatch) {
+  faults::DeviceFaultConfig faults;
+  faults.photodiodes.push_back({/*port=*/1, /*responsivity_scale=*/0.0});
+  faults.thermal = {/*spike_probability=*/0.3, /*magnitude_kelvin=*/3.0};
+  faults.laser_droop = {/*droop_per_eval=*/1e-3, /*floor_scale=*/0.8};
+  faults.phase_aging = {/*drift_rad_per_eval=*/1e-3, /*max_drift_rad=*/0.3};
+  const auto model =
+      std::make_shared<const faults::DeviceFaultModel>(faults, 0xFA17);
+  for (const auto& cfg : {small_photonic_config(), PhotonicPufConfig{}}) {
+    PhotonicPuf serial(cfg, 0x601D, 3);
+    PhotonicPuf batched(cfg, 0x601D, 3);
+    serial.set_fault_model(model);
+    batched.set_fault_model(model);
+    const auto challenges = golden_challenges(serial);
+    std::vector<Response> sequence;
+    for (const auto& c : challenges) sequence.push_back(serial.evaluate(c));
+    const char* want =
+        cfg.design.ports == 4
+            ? "cd8daf3afc091ad287ae6d1a47ada7dbddf3460680f42cc8357d435f1badceef"
+            : "86231e0b840773bc65671a67623769e92f683bc048d0ae2c3bd9f2ffc41d6587";
+    EXPECT_EQ(digest_of(sequence), want) << cfg.design.ports << " ports";
+    EXPECT_EQ(digest_of(batched.evaluate_batch(challenges)), want)
+        << cfg.design.ports << " ports";
+  }
 }
 
 // ---- Challenge encryption ----------------------------------------------------
