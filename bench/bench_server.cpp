@@ -374,10 +374,11 @@ void print_hostile_table() {
     std::printf("  %-9zu %-12.0f %-9llu %-10llu %-9llu %-9llu %-10llu "
                 "%-8zu %-11llu\n",
                 pct, rate,
-                static_cast<unsigned long long>(run.stats.admitted),
-                static_cast<unsigned long long>(run.stats.shed_rate_limited),
-                static_cast<unsigned long long>(run.stats.shed_memory),
-                static_cast<unsigned long long>(run.stats.evicted_half_open),
+                static_cast<unsigned long long>(run.admission.admitted),
+                static_cast<unsigned long long>(run.admission.shed_rate_limited),
+                static_cast<unsigned long long>(run.admission.shed_memory),
+                static_cast<unsigned long long>(
+                    run.admission.evicted_half_open),
                 static_cast<unsigned long long>(run.stats.malformed),
                 run.false_accepts,
                 static_cast<unsigned long long>(

@@ -7,7 +7,8 @@ Usage:
       regresses when its new throughput falls more than THRESHOLD
       (fraction) below the old one; any regression makes the exit
       status nonzero. Throughput is items_per_second when the benchmark
-      reports it, else 1 / real_time.
+      reports it, else 1 / real_time, with real_time read in the row's
+      `time_unit` (ns when absent, as google-benchmark writes it).
 
       A baseline benchmark that is absent from NEW.json is an error: a
       silently vanished case (renamed, deleted, filtered out) would
@@ -82,6 +83,9 @@ def schema_errors(doc: dict, path: str) -> list[str]:
     return errors
 
 
+SECONDS_PER_UNIT = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+
+
 def throughput(bench: dict) -> float | None:
     """Challenges/sec when reported, else inverse wall time; None if absent."""
     items = bench.get("items_per_second")
@@ -89,7 +93,11 @@ def throughput(bench: dict) -> float | None:
         return float(items)
     real = bench.get("real_time")
     if isinstance(real, (int, float)) and real > 0:
-        return 1.0 / float(real)
+        unit = bench.get("time_unit", "ns")
+        if unit not in SECONDS_PER_UNIT:
+            raise SystemExit(f"bench_regress: {bench.get('name')}: unknown "
+                             f"time_unit {unit!r}")
+        return 1.0 / (float(real) * SECONDS_PER_UNIT[unit])
     return None
 
 

@@ -45,7 +45,7 @@
 #                               # passes, empty-baseline gate) + fixture
 #                               # self-test, bench_regress schema
 #                               # self-check (and its duplicate-row
-#                               # negative check), clang-tidy over the exported
+#                               # and time_unit checks), clang-tidy over the exported
 #                               # compile database, and a Clang
 #                               # -Wthread-safety -Werror build of the
 #                               # whole tree. The clang-tidy and Clang
@@ -185,6 +185,16 @@ PY
     echo "==> [lint] FAILED: --check-schema accepted a duplicated row" >&2
     return 1
   fi
+
+  echo "==> [lint] bench_regress time_unit self-check (2 ms row = 500/s)"
+  PYTHONDONTWRITEBYTECODE=1 python3 - <<'PY' || return 1
+import sys
+sys.path.insert(0, "scripts")
+from bench_regress import throughput
+rate = throughput({"name": "BM_Synthetic", "real_time": 2, "time_unit": "ms"})
+if abs(rate - 500.0) > 1e-9:
+    sys.exit(f"==> [lint] FAILED: 2 ms per iteration read as {rate}/s")
+PY
 
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> [lint] clang-tidy (compile database: ${build_dir})"

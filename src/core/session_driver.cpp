@@ -5,6 +5,18 @@
 
 namespace neuropuls::core {
 
+namespace {
+/// Stale/duplicate frames one step may discard before yielding back to
+/// the scheduler — bounds per-step work under a frame flood so one
+/// hostile session cannot monopolise a worker. The budget only defers
+/// the remaining discards to the next step, so transcripts are unchanged.
+constexpr std::size_t kMaxDiscardsPerStep = 32;
+/// Frames with a larger payload are discarded (and counted as malformed)
+/// before the protocol's on_frame parse code ever runs. Generous: every
+/// legitimate frame in this stack is < 4 KiB.
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 16;
+}  // namespace
+
 crypto::Bytes session_driver_seed_bytes(std::uint64_t seed) {
   crypto::Bytes bytes = crypto::bytes_of("np-session-driver");
   crypto::append_u64_be(bytes, seed);
@@ -124,8 +136,7 @@ bool SessionMachine::step() {
             // budget below yields to the scheduler under a flood — a
             // hostile inbox can cost us steps, never an unbounded one.
             ++report_.discarded_frames;
-            if (policy_.max_discards_per_step != 0 &&
-                ++discards_this_step >= policy_.max_discards_per_step) {
+            if (++discards_this_step >= kMaxDiscardsPerStep) {
               // Yield without polling: the remaining frames are handled
               // on the next step, so transcripts are byte-identical to
               // an unbudgeted run.
@@ -133,14 +144,12 @@ bool SessionMachine::step() {
             }
             continue;
           }
-          if (policy_.max_frame_bytes != 0 &&
-              frame->payload.size() > policy_.max_frame_bytes) {
+          if (frame->payload.size() > kMaxFrameBytes) {
             // Matches the expectation but cannot be legitimate: reject on
             // length alone, before any parse or MAC code touches it.
             ++report_.discarded_frames;
             ++report_.malformed_frames;
-            if (policy_.max_discards_per_step != 0 &&
-                ++discards_this_step >= policy_.max_discards_per_step) {
+            if (++discards_this_step >= kMaxDiscardsPerStep) {
               return true;
             }
             continue;

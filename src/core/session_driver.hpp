@@ -56,17 +56,6 @@ struct RetryPolicy {
   std::size_t backoff_max_polls = 32;
   /// Seeds the driver DRBG (nonces + backoff jitter).
   std::uint64_t seed = 1;
-  /// Stale/duplicate frames one step may discard before yielding back to
-  /// the scheduler — bounds per-step work under a frame flood so one
-  /// hostile session cannot monopolise a worker. The budget only defers
-  /// the remaining discards to the next step, so transcripts are
-  /// unchanged; 0 = unbounded (the historical behavior).
-  std::size_t max_discards_per_step = 32;
-  /// Frames with a larger payload are discarded (and counted as
-  /// malformed) before the protocol's on_frame parse code ever runs.
-  /// Generous default: every legitimate frame in this stack is < 4 KiB.
-  /// 0 = unlimited.
-  std::size_t max_frame_bytes = 1 << 16;
 };
 
 enum class SessionResult {
@@ -130,10 +119,6 @@ class SessionMachine {
   /// so the transcript cannot depend on when a scheduler chooses to run
   /// them — the hint only tells a reactor how long parking is profitable.
   std::size_t wait_hint() const noexcept;
-
-  /// The channel this machine polls — exposed so a scheduler can attach
-  /// the wakeup hook that re-queues a parked session on frame arrival.
-  net::DuplexChannel& channel() noexcept { return channel_; }
 
  protected:
   SessionMachine(net::DuplexChannel& channel, const RetryPolicy& policy,

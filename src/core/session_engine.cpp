@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
+
+#include "common/mutex.hpp"
+#include "common/thread_annotations.hpp"
 
 namespace neuropuls::core {
 
 namespace {
-constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
 /// Max step() calls per activation before a session yields back to the
 /// run queue (bounds how long one session can monopolise a worker while
 /// others are runnable).
@@ -38,114 +39,59 @@ struct SessionEngine::Session {
 
   enum class SState : std::uint8_t { kRunnable, kParked };
   SState sstate = SState::kRunnable;
-  /// Bumped on every park *and* every wake, so a wheel entry is live iff
+  /// Bumped on every park *and* every wake, so a heap entry is live iff
   /// its recorded epoch still matches — a woken session's stale entry
-  /// self-invalidates without a wheel search.
+  /// self-invalidates without a heap search.
   std::uint64_t park_epoch = 0;
-  /// Set by a cross-thread wake that found the session not parked; the
+  /// Set by an eviction wake that found the session not parked; the
   /// owner consumes it at the next park decision (requeue instead).
   std::atomic<bool> wake_pending{false};
   /// Exactly-one-worker-steps-me guard.
   std::atomic<bool> stepping{false};
 };
 
-namespace {
-
-/// The session this thread is currently stepping (type-erased — Session
-/// is engine-private) — lets the channel wakeup hook recognise the
-/// session's own sends (already visible to its next wait_hint()) and
-/// skip the cross-thread wake path entirely.
-thread_local void* tl_current_session = nullptr;
-
-}  // namespace
-
 // One reactor instantiation per run(): per-worker steal deques, a shared
-// timer wheel + ready list under one scheduler mutex (park/wake
+// park heap + ready list under one scheduler mutex (park/wake
 // transitions are rare next to steps, so a single mutex is both simple
 // and TSan-clean), a parking lot for idle workers, and admission state.
 struct SessionEngine::Reactor {
-  /// Two-level hierarchical timer wheel over virtual poll time. Entries
-  /// carry absolute deadlines; each bucket caches its minimum so
-  /// advance() finds the earliest pending deadline in O(slots), not
-  /// O(parked). Guarded externally by sched_mutex. Bucket vectors keep
-  /// their capacity across drains, so parking is allocation-free once
-  /// the wheel is warm.
-  class TimerWheel {
+  /// Parked sessions as a binary min-heap over virtual poll time.
+  /// Guarded externally by sched_mutex. Reserved once per run, so
+  /// parking is allocation-free in steady state.
+  class ParkHeap {
    public:
-    static constexpr std::size_t kSlots = 64;
-    /// Pre-reserved entries per bucket: parking only allocates once a
-    /// single bucket collects more sessions than this (and then keeps
-    /// the grown capacity), so the steady-state park path is heap-free.
-    static constexpr std::size_t kBucketReserve = 8;
-
-    TimerWheel() {
-      for (Bucket& bucket : level0_) bucket.items.reserve(kBucketReserve);
-      for (Bucket& bucket : level1_) bucket.items.reserve(kBucketReserve);
-      overflow_.items.reserve(kBucketReserve);
-    }
+    void reserve(std::size_t entries) { entries_.reserve(entries); }
 
     void insert(Session* session, std::size_t delay) {
       const std::uint64_t deadline =
           now_ + std::max<std::size_t>(std::size_t{1}, delay);
-      Bucket& bucket = bucket_for(deadline);
-      bucket.items.push_back(Entry{session, session->park_epoch, deadline});
-      bucket.min_deadline = std::min(bucket.min_deadline, deadline);
-      ++entries_;
+      entries_.push_back(Entry{session, session->park_epoch, deadline});
+      std::push_heap(entries_.begin(), entries_.end(), Later{});
     }
 
     /// Jumps virtual time to the earliest live deadline and moves every
-    /// session due at it into `out` (marking them runnable). Returns the
-    /// number emitted; 0 when the wheel holds no live entry.
+    /// live session due at it into `out` (marking them runnable). Returns
+    /// the number emitted; 0 when the heap holds no live entry.
     std::size_t advance(std::vector<Session*>& out) {
-      while (entries_ > 0) {
-        Bucket* best = nullptr;
-        for (Bucket& bucket : level0_) {
-          if (bucket.min_deadline < (best ? best->min_deadline : kNoDeadline)) {
-            best = &bucket;
-          }
+      std::size_t emitted = 0;
+      while (!entries_.empty() &&
+             (emitted == 0 || entries_.front().deadline == now_)) {
+        std::pop_heap(entries_.begin(), entries_.end(), Later{});
+        const Entry entry = entries_.back();
+        entries_.pop_back();
+        now_ = entry.deadline;
+        // A mismatched epoch means the session was woken (or re-parked)
+        // after this entry was written — it is stale.
+        if (entry.session->park_epoch == entry.epoch &&
+            entry.session->sstate == Session::SState::kParked) {
+          entry.session->sstate = Session::SState::kRunnable;
+          ++entry.session->park_epoch;
+          out.push_back(entry.session);
+          ++emitted;
         }
-        for (Bucket& bucket : level1_) {
-          if (bucket.min_deadline < (best ? best->min_deadline : kNoDeadline)) {
-            best = &bucket;
-          }
-        }
-        if (overflow_.min_deadline < (best ? best->min_deadline : kNoDeadline)) {
-          best = &overflow_;
-        }
-        if (best == nullptr) return 0;  // only stale-cleared buckets remain
-        now_ = std::max(now_, best->min_deadline);
-
-        std::size_t emitted = 0;
-        std::size_t keep = 0;
-        std::uint64_t new_min = kNoDeadline;
-        auto& items = best->items;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-          Entry entry = items[i];
-          if (entry.deadline <= now_) {
-            --entries_;
-            // A mismatched epoch means the session was woken (or
-            // re-parked) after this entry was written — it is stale.
-            if (entry.session->park_epoch == entry.epoch &&
-                entry.session->sstate == Session::SState::kParked) {
-              entry.session->sstate = Session::SState::kRunnable;
-              ++entry.session->park_epoch;
-              out.push_back(entry.session);
-              ++emitted;
-            }
-          } else {
-            items[keep++] = entry;
-            new_min = std::min(new_min, entry.deadline);
-          }
-        }
-        items.resize(keep);
-        best->min_deadline = new_min;
-        if (emitted > 0) return emitted;
-        // Every due entry was stale; keep scanning for the next deadline.
       }
-      return 0;
+      return emitted;
     }
-
-    std::uint64_t now() const noexcept { return now_; }
 
    private:
     struct Entry {
@@ -153,25 +99,15 @@ struct SessionEngine::Reactor {
       std::uint64_t epoch;
       std::uint64_t deadline;
     };
-    struct Bucket {
-      std::vector<Entry> items;
-      std::uint64_t min_deadline = kNoDeadline;
+    /// Heap order: the earliest deadline sits at the front.
+    struct Later {
+      bool operator()(const Entry& a, const Entry& b) const noexcept {
+        return a.deadline > b.deadline;
+      }
     };
 
-    Bucket& bucket_for(std::uint64_t deadline) {
-      const std::uint64_t delta = deadline - now_;
-      if (delta <= kSlots) return level0_[deadline % kSlots];
-      if (delta <= kSlots * kSlots) {
-        return level1_[(deadline / kSlots) % kSlots];
-      }
-      return overflow_;
-    }
-
     std::uint64_t now_ = 0;
-    std::size_t entries_ = 0;  // bucket entries, stale included
-    Bucket level0_[kSlots];    // deadlines within (now, now+64]
-    Bucket level1_[kSlots];    // deadlines within (now+64, now+4096]
-    Bucket overflow_;          // beyond the hierarchical horizon
+    std::vector<Entry> entries_;  // stale entries included
   };
 
   Reactor(SessionEngine& engine_in, std::vector<Session*>& all_in,
@@ -187,13 +123,15 @@ struct SessionEngine::Reactor {
     // Eviction lets a freshly admitted session coexist briefly with its
     // not-yet-retired victim, so the runnable population can exceed
     // max_in_flight; double the headroom rather than reason about the
-    // exact transient.
+    // exact transient. Live park-heap entries obey the same bound (stale
+    // ones come only from evictions).
     const std::size_t capacity = engine.config_.max_in_flight * 2 + 2;
     for (std::size_t w = 0; w < width; ++w) {
       queues.push_back(std::make_unique<common::StealDeque>(capacity));
       scratch[w].reserve(engine.config_.max_in_flight);
     }
     ready.reserve(engine.config_.max_in_flight);
+    heap.reserve(capacity);
   }
 
   SessionEngine& engine;
@@ -202,7 +140,7 @@ struct SessionEngine::Reactor {
   std::size_t width;
 
   std::vector<std::unique_ptr<common::StealDeque>> queues;
-  std::vector<std::vector<Session*>> scratch;  // per-worker wheel-drain buffer
+  std::vector<std::vector<Session*>> scratch;  // per-worker heap-drain buffer
   common::ParkingLot lot;
   std::atomic<std::size_t> remaining;
   std::atomic<bool> failed{false};
@@ -212,7 +150,7 @@ struct SessionEngine::Reactor {
   /// cannot reference a Reactor member — so it is documented here and
   /// checked by the TSan flavors instead).
   common::Mutex sched_mutex;
-  TimerWheel wheel NP_GUARDED_BY(sched_mutex);
+  ParkHeap heap NP_GUARDED_BY(sched_mutex);
   std::vector<Session*> ready NP_GUARDED_BY(sched_mutex);
 
   common::Mutex admit_mutex;
@@ -227,27 +165,7 @@ struct SessionEngine::Reactor {
   std::atomic<std::size_t> peak_depth{0};
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> converged{0};
-  std::atomic<std::uint64_t> admitted{0};
-  std::atomic<std::uint64_t> shed_rate_limited{0};
-  std::atomic<std::uint64_t> shed_memory{0};
-  std::atomic<std::uint64_t> evicted_half_open{0};
   std::atomic<std::uint64_t> malformed{0};
-
-  void attach(Session* s) {
-    s->machine->channel().set_wakeup_hook(
-        [this, s](net::Direction) { wake(s); });
-  }
-
-  /// Clears every installed wakeup hook. Normally a no-op (retire clears
-  /// each), but after a worker exception it keeps user-owned channels
-  /// from holding dangling references into this (stack-local) reactor.
-  void detach_all() {
-    common::MutexLock lock(admit_mutex);
-    for (std::size_t i = 0; i < next_admit; ++i) {
-      // Shed sessions never built a machine (reject-before-alloc).
-      if (all[i]->machine) all[i]->machine->channel().set_wakeup_hook(nullptr);
-    }
-  }
 
   void push_runnable(std::size_t w, Session* s) {
     if (!queues[w]->push(s)) {
@@ -261,15 +179,13 @@ struct SessionEngine::Reactor {
     lot.unpark_one();
   }
 
-  /// Channel wakeup: a frame landed for `s`. Self-sends while `s` is
-  /// being stepped on this very thread are already visible to its next
-  /// wait_hint(), so only genuinely external arrivals take the slow path.
+  /// Revives `s` ahead of its deadline (eviction, possibly from another
+  /// worker than the one that parked it).
   void wake(Session* s) {
-    if (tl_current_session == s) return;
     common::MutexLock lock(sched_mutex);
     if (s->sstate == Session::SState::kParked) {
       s->sstate = Session::SState::kRunnable;
-      ++s->park_epoch;  // the wheel entry is now stale
+      ++s->park_epoch;  // the heap entry is now stale
       ready.push_back(s);
       wakeups.fetch_add(1, std::memory_order_relaxed);
       lot.unpark_one();
@@ -287,7 +203,7 @@ struct SessionEngine::Reactor {
     }
     s->sstate = Session::SState::kParked;
     ++s->park_epoch;
-    wheel.insert(s, hint);
+    heap.insert(s, hint);
     parks.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -300,26 +216,21 @@ struct SessionEngine::Reactor {
     return s;
   }
 
-  bool advance_wheel(std::vector<Session*>& out) {
+  bool advance_heap(std::vector<Session*>& out) {
     out.clear();
     common::MutexLock lock(sched_mutex);
-    if (wheel.advance(out) == 0) return false;
+    if (heap.advance(out) == 0) return false;
     wheel_ticks.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
   /// Retires a session the controller shed at the gate: no machine was
   /// ever built, the report records only the decision.
-  void finish_shed(Session* s, AdmitDecision decision) {
+  void finish_shed(Session* s) {
     SessionReport report;
     report.result = SessionResult::kShed;
     reports[s->index] = report;
     completed.fetch_add(1, std::memory_order_relaxed);
-    if (decision == AdmitDecision::kShedRateLimited) {
-      shed_rate_limited.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      shed_memory.fetch_add(1, std::memory_order_relaxed);
-    }
     if (engine.config_.on_complete) engine.config_.on_complete(s->index);
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       lot.close();
@@ -331,7 +242,6 @@ struct SessionEngine::Reactor {
   void evict(std::size_t handle) {
     Session* victim = all[handle];
     victim->evicted.store(true, std::memory_order_release);
-    evicted_half_open.fetch_add(1, std::memory_order_relaxed);
     wake(victim);
   }
 
@@ -350,23 +260,20 @@ struct SessionEngine::Reactor {
         const AdmitResult verdict =
             ctl->try_admit(s->client_id, s->index, s->cost_bytes);
         if (verdict.decision != AdmitDecision::kAdmitted) {
-          finish_shed(s, verdict.decision);
+          finish_shed(s);
           continue;
         }
-        admitted.fetch_add(1, std::memory_order_relaxed);
         if (verdict.evicted) evict(verdict.evicted_handle);
       }
       // Reject-before-alloc: the machine (channel buffers, endpoints'
       // working state) is built only after admission charged its cost.
       s->machine = s->build(s->rng);
-      attach(s);
       push_runnable(w, s);
       return;
     }
   }
 
   void retire(std::size_t w, Session* s) {
-    s->machine->channel().set_wakeup_hook(nullptr);
     SessionReport report = s->machine->report();
     if (s->evicted.load(std::memory_order_acquire)) {
       report.result = SessionResult::kEvicted;
@@ -403,7 +310,6 @@ struct SessionEngine::Reactor {
       retire(w, s);  // killed half-open: never stepped again
       return;
     }
-    tl_current_session = s;
     std::uint64_t executed = 0;
     bool done = false;
     std::size_t hint = 0;
@@ -417,7 +323,6 @@ struct SessionEngine::Reactor {
       if (hint >= engine.config_.park_threshold) break;
     }
     steps.fetch_add(executed, std::memory_order_relaxed);
-    tl_current_session = nullptr;
     // Publish before the session becomes reachable by other workers.
     s->stepping.store(false, std::memory_order_release);
     if (done) {
@@ -429,7 +334,7 @@ struct SessionEngine::Reactor {
   }
 
   void worker_loop(std::size_t w) {
-    std::vector<Session*>& wheel_out = scratch[w];
+    std::vector<Session*>& due = scratch[w];
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) return;
       auto* s = static_cast<Session*>(queues[w]->pop());
@@ -440,10 +345,10 @@ struct SessionEngine::Reactor {
         }
         if (s != nullptr) steals.fetch_add(1, std::memory_order_relaxed);
       }
-      if (s == nullptr && advance_wheel(wheel_out)) {
-        s = wheel_out.front();
-        for (std::size_t i = 1; i < wheel_out.size(); ++i) {
-          push_runnable(w, wheel_out[i]);
+      if (s == nullptr && advance_heap(due)) {
+        s = due.front();
+        for (std::size_t i = 1; i < due.size(); ++i) {
+          push_runnable(w, due[i]);
         }
       }
       if (s == nullptr) {
@@ -491,12 +396,6 @@ std::vector<SessionReport> SessionEngine::run() {
   return reports;
 }
 
-void SessionEngine::notify(std::size_t index) {
-  common::MutexLock lock(notify_mutex_);
-  if (active_ == nullptr || index >= active_->all.size()) return;
-  active_->wake(active_->all[index]);
-}
-
 void SessionEngine::run_reactor(std::vector<Session*>& queue,
                                 std::vector<SessionReport>& reports) {
   const std::size_t width =
@@ -512,34 +411,16 @@ void SessionEngine::run_reactor(std::vector<Session*>& queue,
     reactor.admit_one(i % width);
   }
 
-  {
-    common::MutexLock lock(notify_mutex_);
-    active_ = &reactor;
-  }
-  try {
-    pool_.parallel_for(width, [&reactor](std::size_t w) {
-      try {
-        reactor.worker_loop(w);
-      } catch (...) {
-        // Unblock the other workers so parallel_for can join and rethrow.
-        reactor.failed.store(true, std::memory_order_relaxed);
-        reactor.lot.close();
-        throw;
-      }
-    });
-  } catch (...) {
-    {
-      common::MutexLock lock(notify_mutex_);
-      active_ = nullptr;
+  pool_.parallel_for(width, [&reactor](std::size_t w) {
+    try {
+      reactor.worker_loop(w);
+    } catch (...) {
+      // Unblock the other workers so parallel_for can join and rethrow.
+      reactor.failed.store(true, std::memory_order_relaxed);
+      reactor.lot.close();
+      throw;
     }
-    reactor.detach_all();
-    throw;
-  }
-  {
-    common::MutexLock lock(notify_mutex_);
-    active_ = nullptr;
-  }
-  reactor.detach_all();
+  });
 
   // The workers are joined (parallel_for returned), so relaxed loads
   // suffice — and match the relaxed increments on the write side; mixing
@@ -557,12 +438,6 @@ void SessionEngine::run_reactor(std::vector<Session*>& queue,
   stats_.peak_queue_depth = std::max(
       stats_.peak_queue_depth,
       reactor.peak_depth.load(std::memory_order_relaxed));
-  stats_.admitted += reactor.admitted.load(std::memory_order_relaxed);
-  stats_.shed_rate_limited +=
-      reactor.shed_rate_limited.load(std::memory_order_relaxed);
-  stats_.shed_memory += reactor.shed_memory.load(std::memory_order_relaxed);
-  stats_.evicted_half_open +=
-      reactor.evicted_half_open.load(std::memory_order_relaxed);
   stats_.malformed += reactor.malformed.load(std::memory_order_relaxed);
 }
 

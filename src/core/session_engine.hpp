@@ -11,15 +11,14 @@
 // worker owns a run queue (common::StealDeque: LIFO for the owner so the
 // cache-warm session runs next, FIFO for thieves so the coldest work
 // migrates). A machine whose channel has nothing readable and whose
-// wait_hint() says it will only burn poll ticks is parked on a
-// hierarchical timer wheel and re-queued when its virtual deadline
-// expires — or immediately when a frame lands on its channel
-// (net::DuplexChannel wakeup hook) — instead of being busy-polled. Idle
-// workers steal, then advance the wheel, then park in a
-// common::ParkingLot. Per-session control records live in a
-// common::Arena, and the steady-state step path — deque push/pop,
-// stepping a waiting machine, parking — performs zero heap allocations
-// (pinned by tests/core/test_engine_alloc.cpp).
+// wait_hint() says it will only burn poll ticks is parked on a binary
+// min-heap keyed by virtual deadline and re-queued when that deadline
+// expires — or at once when admission control evicts it half-open —
+// instead of being busy-polled. Idle workers steal, then advance the
+// heap's clock, then park in a common::ParkingLot. Per-session control
+// records live in a common::Arena, and the steady-state step path —
+// deque push/pop, stepping a waiting machine, parking — performs zero
+// heap allocations (pinned by tests/core/test_engine_alloc.cpp).
 //
 // Determinism contract (pinned by tests/core/test_session_engine.cpp):
 // every session owns its channel, protocol endpoints, and a private
@@ -27,9 +26,9 @@
 // RetryPolicy::seed == the submitted seed (session_driver_seed_bytes).
 // Sessions share no mutable state and every channel poll is an explicit
 // machine step, so no schedule — steal order, park/wake timing, thread
-// count, even spurious notify() calls — can influence any session's
-// operation order: per-session transcripts are byte-identical to serial
-// SessionDriver runs, faulty channels included.
+// count — can influence any session's operation order: per-session
+// transcripts are byte-identical to serial SessionDriver runs, faulty
+// channels included.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +37,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
-#include "common/mutex.hpp"
 #include "common/parallel.hpp"
-#include "common/thread_annotations.hpp"
 #include "core/admission_control.hpp"
 #include "core/session_driver.hpp"
 #include "crypto/chacha20.hpp"
@@ -51,7 +48,7 @@ struct SessionEngineConfig {
   /// Sessions stepped concurrently; admission is in submission order.
   std::size_t max_in_flight = 64;
   /// Smallest wait_hint() worth a park — shorter waits are cheaper to
-  /// burn in place than to route through the wheel.
+  /// burn in place than to route through the park heap.
   std::size_t park_threshold = 4;
   /// Invoked (from whichever worker retires the session) with the
   /// submission index the moment a session completes. Must be
@@ -83,32 +80,26 @@ struct SessionEngineStats {
   std::uint64_t steps = 0;
   /// Sessions taken from another worker's run queue.
   std::uint64_t steals = 0;
-  /// Sessions parked on the timer wheel.
+  /// Sessions parked on the park heap.
   std::uint64_t parks = 0;
-  /// Parked sessions re-queued by a channel wakeup or notify() before
-  /// their wheel deadline.
+  /// Parked sessions re-queued before their deadline (only half-open
+  /// eviction does this, so it stays 0 without an admission controller).
   std::uint64_t wakeups = 0;
-  /// Virtual-time advances of the wheel.
+  /// Virtual-time advances of the park heap's clock.
   std::uint64_t wheel_ticks = 0;
   /// Workers that went to sleep in the parking lot.
   std::uint64_t worker_parks = 0;
   /// Deepest run queue observed (scheduling-pressure signal).
   std::size_t peak_queue_depth = 0;
-  /// Admission (zero when no controller is configured): sessions the
-  /// controller let in / shed at the gate / killed half-open.
-  std::uint64_t admitted = 0;
-  std::uint64_t shed_rate_limited = 0;
-  std::uint64_t shed_memory = 0;
-  std::uint64_t evicted_half_open = 0;
   /// Malformed/oversized frames reported by retired sessions (charged to
-  /// their client's bucket when a controller is configured).
+  /// their client's bucket when a controller is configured). Admission
+  /// decisions themselves are counted by AdmissionController::stats().
   std::uint64_t malformed = 0;
 };
 
 /// Runs submitted sessions to completion across a borrowed thread pool.
-/// Not itself thread-safe: one thread submits and runs; the parallelism
-/// lives inside run(). notify() is the one exception — it may be called
-/// from any thread *while run() executes* to wake a parked session.
+/// Not thread-safe: one thread submits and runs; the parallelism lives
+/// inside run().
 class SessionEngine {
  public:
   /// Builds the machine for one session, bound to the engine-owned DRBG
@@ -133,13 +124,6 @@ class SessionEngine {
   /// submission order; stats() accumulates across calls.
   std::vector<SessionReport> run();
 
-  /// Wakes the session with the given submission index if it is parked
-  /// (no-op otherwise, including after run() returned). Safe from any
-  /// thread concurrent with run(); a spurious notify can only make a
-  /// session poll earlier, never change its transcript. This is the seam
-  /// a real wire transport uses to report asynchronous frame arrival.
-  void notify(std::size_t index) NP_EXCLUDES(notify_mutex_);
-
   std::size_t queued() const noexcept { return pending_.size(); }
   const SessionEngineStats& stats() const noexcept { return stats_; }
   const SessionEngineConfig& config() const noexcept { return config_; }
@@ -160,11 +144,6 @@ class SessionEngine {
   std::vector<Session*> pending_;
   SessionEngineStats stats_;
   std::size_t submitted_ = 0;
-  /// Guards active_ against notify() racing run_reactor() teardown.
-  /// Ordered above the reactor's sched_mutex (notify() holds it across
-  /// wake()); nothing acquires it with sched_mutex held.
-  common::Mutex notify_mutex_;
-  Reactor* active_ NP_GUARDED_BY(notify_mutex_) = nullptr;
 };
 
 }  // namespace neuropuls::core

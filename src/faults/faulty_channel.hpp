@@ -70,9 +70,8 @@ struct ChannelFaultStats {
 /// session that owns the channel — the adversary and poll hooks only run
 /// inside that session's send()/poll() calls, which the engine already
 /// serializes (one worker steps a session at a time), so it holds no
-/// lock of its own. Delayed/reordered frames re-enter the channel via
-/// inject(), whose wakeup notification IS cross-thread-safe — it goes
-/// through DuplexChannel's hook_mutex_-guarded wakeup hook.
+/// lock, and neither does the channel. Delayed/reordered frames re-enter
+/// the channel via inject() from inside that same session's poll().
 class FaultyChannel {
  public:
   FaultyChannel(net::DuplexChannel& channel, ChannelFaultConfig config,

@@ -3,7 +3,7 @@
 //
 // The reactor promises that once a session is admitted, the waiting
 // machinery — polling an expect budget down, pushing/popping run queues,
-// parking on the timer wheel and being revived by its virtual clock —
+// parking on the park heap and being revived by its virtual clock —
 // touches no heap. This binary installs the counting allocator
 // (common/alloc_probe.hpp) and pins that promise two ways:
 //
@@ -13,8 +13,7 @@
 //   * engine level: two reactor runs that differ only in how LONG their
 //     sessions wait (receive_poll_budget 8 vs 72) must allocate exactly
 //     the same number of times — every extra waiting step, park, and
-//     wheel tick is heap-free. The budgets straddle the wheel's 64-slot
-//     level-0 horizon, so both wheel levels are exercised.
+//     clock tick is heap-free.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,7 +101,7 @@ TEST(ReactorZeroAlloc, WaitingStepsAllocateNothing) {
 // returning how many allocations the calling thread observed across
 // run(). ThreadPool(1) keeps the reactor on the calling thread (serial
 // fallback), so the thread-local counter sees every allocation the
-// scheduler makes — queue churn, parks, wheel ticks included.
+// scheduler makes — queue churn, parks, clock ticks included.
 std::uint64_t count_run_allocations(std::size_t receive_poll_budget) {
   auto f = make_silent_fixture(7001);
   common::ThreadPool pool(1);
@@ -131,9 +130,8 @@ std::uint64_t count_run_allocations(std::size_t receive_poll_budget) {
 TEST(ReactorZeroAlloc, LongerWaitsAllocateNoMoreThanShortOnes) {
   // Identical runs except the session waits 9x longer before each retry:
   // same sends, same DRBG draws, same attempt count — the only delta is
-  // waiting steps, parks, and wheel ticks. Budget 8 parks land in the
-  // wheel's 64-slot level-0; budget 72 overflows into level-1. If any of
-  // that machinery allocated, the counts would differ.
+  // waiting steps, parks, and clock ticks. If any of that machinery
+  // allocated, the counts would differ.
   const std::uint64_t short_waits = count_run_allocations(8);
   const std::uint64_t long_waits = count_run_allocations(72);
   EXPECT_EQ(short_waits, long_waits);

@@ -190,8 +190,8 @@ TEST(SessionEngineConcurrency, ScheduleShapeCannotChangeResults) {
 }
 
 // The reactor's scheduling machinery must actually engage (steps counted,
-// sessions parked on the wheel and revived by its virtual clock) without
-// affecting results. park_threshold = 1 parks on every wait so the wheel
+// sessions parked on the heap and revived by its virtual clock) without
+// affecting results. park_threshold = 1 parks on every wait so the heap
 // path is guaranteed to run even for short backoffs.
 TEST(SessionEngineConcurrency, ReactorStatsAccountForScheduling) {
   constexpr std::size_t kSessions = 8;
@@ -218,12 +218,15 @@ TEST(SessionEngineConcurrency, ReactorStatsAccountForScheduling) {
   const auto& stats = engine.stats();
   EXPECT_EQ(stats.completed, kSessions);
   EXPECT_GT(stats.steps, 0u);
-  // drop = 0.20 forces retries, so sessions wait (park) and the wheel's
+  // drop = 0.20 forces retries, so sessions wait (park) and the heap's
   // virtual clock must tick to revive them.
   EXPECT_GT(stats.parks, 0u);
   EXPECT_GT(stats.wheel_ticks, 0u);
+  // Without an admission controller nothing evicts, so the clock is the
+  // only thing that ever revives a parked session.
+  EXPECT_EQ(stats.wakeups, 0u);
   EXPECT_GT(stats.peak_queue_depth, 0u);
-  // Transcripts still byte-identical to serial despite the wheel churn.
+  // Transcripts still byte-identical to serial despite the heap churn.
   std::vector<crypto::Bytes> serial_t;
   std::vector<SessionReport> serial_r;
   run_serial(kSessions, kDrop, serial_t, serial_r);
@@ -309,40 +312,10 @@ TEST(SessionEngineConcurrency, EkeKeysMatchSerial) {
   }
 }
 
-TEST(SessionEngineConcurrency, NotifyOutsideRunIsANoOp) {
-  // notify() is the only engine entry point legal outside run(): with no
-  // run active (active_ == nullptr) or an out-of-range index it must do
-  // nothing at all — before the first run, after the last, either way.
-  common::ThreadPool pool(2);
-  SessionEngine engine(pool, SessionEngineConfig{});
-  engine.notify(0);
-  engine.notify(12345);
-
-  auto f = make_auth_fixture(1000, 0.0, 0);
-  const RetryPolicy policy;
-  engine.submit(100, [&f, &policy](crypto::ChaChaDrbg& rng) {
-    return std::make_unique<AuthSessionMachine>(f->channel, policy, rng,
-                                                *f->verifier, *f->device, 10);
-  });
-  const auto reports = engine.run();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].result, SessionResult::kConverged);
-
-  const auto before = engine.stats();
-  engine.notify(0);    // session retired and the run is over
-  engine.notify(999);  // never existed
-  const auto after = engine.stats();
-  EXPECT_EQ(after.wakeups, before.wakeups);
-  EXPECT_EQ(after.completed, before.completed);
-}
-
-TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
-  // Hammer notify() mid-run on indices that must never be woken: the
-  // session that just completed (retired — not parked, so no requeue),
-  // a far-future index the admission gate has not released yet, and an
-  // out-of-range one. None of this may requeue retired sessions, inflate
-  // the wakeup count past the park count, or perturb per-session
-  // results — the byte-identity contract holds through the storm.
+// A narrow admission window (most sessions wait behind the gate) with
+// parking on every wait: retirements refill the window while the heap
+// churns, and per-session results stay byte-identical to serial.
+TEST(SessionEngineConcurrency, NarrowWindowParkingEveryWaitMatchesSerial) {
   constexpr std::size_t kSessions = 8;
   constexpr double kDrop = 0.20;
   std::vector<std::unique_ptr<AuthFixture>> fixtures;
@@ -350,17 +323,10 @@ TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
     fixtures.push_back(make_auth_fixture(1000 + k, kDrop, 0xF00 + k));
   }
   common::ThreadPool pool(2);
-  SessionEngine* eng = nullptr;
   SessionEngineConfig config;
-  config.max_in_flight = 2;  // most sessions are never-admitted for a while
+  config.max_in_flight = 2;
   config.park_threshold = 1;
-  config.on_complete = [&eng](std::size_t index) {
-    for (int i = 0; i < 50; ++i) eng->notify(index);  // already completed
-    eng->notify(kSessions - 1);  // likely still behind the admission gate
-    eng->notify(kSessions + 100);  // out of range
-  };
   SessionEngine engine(pool, config);
-  eng = &engine;
   const RetryPolicy policy;
   for (std::size_t k = 0; k < kSessions; ++k) {
     AuthFixture& f = *fixtures[k];
@@ -371,11 +337,7 @@ TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
   }
   const auto reports = engine.run();
   ASSERT_EQ(reports.size(), kSessions);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.completed, kSessions);
-  // Every real wakeup revives a park; a storm of spurious notifies on
-  // retired sessions adds parks' worth of wakeups at most, never 50×.
-  EXPECT_LE(stats.wakeups, stats.parks);
+  EXPECT_EQ(engine.stats().completed, kSessions);
 
   std::vector<crypto::Bytes> serial_t;
   std::vector<SessionReport> serial_r;
@@ -385,6 +347,64 @@ TEST(SessionEngineConcurrency, NotifyStormOnDeadIndicesIsHarmless) {
         << "session " << k;
     EXPECT_TRUE(reports_equal(serial_r[k], reports[k])) << "session " << k;
   }
+}
+
+// Half-open eviction is the one path that revives a parked session ahead
+// of its deadline. On one worker the schedule is fixed: the owner pops its
+// run queue LIFO, so the silent session (index 1) runs first and parks on
+// a 64-poll wait; the honest session (index 0) converges, and its
+// retirement admits index 2 from the silent session's client, which is at
+// its half-open cap of 1. The controller evicts the parked session, and it
+// must retire as kEvicted without the heap clock ever reaching its
+// deadline.
+TEST(SessionEngineConcurrency, EvictionWakesParkedSessionBeforeDeadline) {
+  std::vector<std::unique_ptr<AuthFixture>> fixtures;
+  for (std::size_t k = 0; k < 3; ++k) {
+    fixtures.push_back(make_auth_fixture(1000 + k, 0.0, 0));
+  }
+  fixtures[1]->channel.set_adversary(
+      [](Direction, const net::Message&) { return net::Verdict::drop(); });
+
+  core::AdmissionConfig admission_config;
+  admission_config.half_open_per_client = 1;
+  core::AdmissionController controller(admission_config);
+  common::ThreadPool pool(1);
+  SessionEngineConfig config;
+  config.max_in_flight = 2;
+  config.admission = &controller;
+  SessionEngine engine(pool, config);
+  RetryPolicy policy;
+  policy.receive_poll_budget = 64;
+  const std::uint64_t clients[3] = {1, 7, 7};
+  for (std::size_t k = 0; k < 3; ++k) {
+    AuthFixture& f = *fixtures[k];
+    core::SubmitOptions options;
+    options.client_id = clients[k];
+    engine.submit(
+        100 + k,
+        [&f, &policy, k](crypto::ChaChaDrbg& rng)
+            -> std::unique_ptr<core::SessionMachine> {
+          return std::make_unique<AuthSessionMachine>(
+              f.channel, policy, rng, *f.verifier, *f.device, 10 * (k + 1));
+        },
+        options);
+  }
+  const auto reports = engine.run();
+
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_EQ(reports[0].result, SessionResult::kConverged);
+  EXPECT_EQ(reports[1].result, SessionResult::kEvicted);
+  EXPECT_EQ(reports[2].result, SessionResult::kConverged);
+  // Evicted after its first wait step, long before its poll budget ran
+  // out.
+  EXPECT_LT(reports[1].poll_ticks, policy.receive_poll_budget);
+  const auto& stats = engine.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.parks, 1u);
+  EXPECT_GT(stats.wakeups, 0u);
+  EXPECT_EQ(stats.wheel_ticks, 0u);  // the clock never reached a deadline
+  EXPECT_EQ(controller.stats().evicted_half_open, 1u);
+  EXPECT_EQ(controller.stats().half_open, 0u);
 }
 
 }  // namespace

@@ -136,14 +136,14 @@ TEST(ChannelLimits, ShedFramesFireNoWakeup) {
   limits.max_inbox_frames = 1;
   limits.max_frame_bytes = 8;
   DuplexChannel channel(limits);
-  int wakeups = 0;
-  channel.set_wakeup_hook([&](Direction) { ++wakeups; });
   channel.send(Direction::kAtoB, {MessageType::kData, 1, {}});       // lands
   channel.send(Direction::kAtoB, {MessageType::kData, 2, {}});       // overflow
   channel.inject(Direction::kAtoB, {MessageType::kData, 3, {}});     // overflow
   channel.send(Direction::kBtoA, {MessageType::kData, 4, crypto::Bytes(9, 0)});
-  EXPECT_EQ(wakeups, 1);  // a parked receiver must not wake for shed frames
-  channel.set_wakeup_hook(nullptr);
+  // A parked receiver must not become ready for shed frames: only the
+  // first frame is readable.
+  EXPECT_EQ(channel.pending(Direction::kAtoB), 1u);
+  EXPECT_FALSE(channel.readable(Direction::kBtoA));
 }
 
 TEST(ChannelLimits, TranscriptCapCountsInsteadOfStoring) {
