@@ -2,9 +2,8 @@
 // expensive"), forward secrecy, and the offline-attack elimination.
 #include "attacks/brute_force.hpp"
 #include "bench_util.hpp"
-#include "core/aka_eke.hpp"
 #include "core/secure_channel.hpp"
-#include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 

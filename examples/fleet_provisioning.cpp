@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/key_manager.hpp"
-#include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "filtering/filter.hpp"
 #include "metrics/population.hpp"

@@ -3,7 +3,13 @@
 
 Usage:
   bench_regress.py OLD.json NEW.json [--threshold 0.10] [--allow-missing]
-      Compares benchmarks present in both files by name. A benchmark
+                   [--cross-host]
+      Compares benchmarks present in both files by name. The two runs
+      must come from the same kind of host: when their `context` differs
+      in num_cpus, mhz_per_cpu or library_build_type, the compare prints
+      both fingerprints and exits 2 without comparing, because a rate
+      measured on another host is no baseline. --cross-host compares
+      anyway. A benchmark
       regresses when its new throughput falls more than THRESHOLD
       (fraction) below the old one; any regression makes the exit
       status nonzero. Throughput is items_per_second when the benchmark
@@ -173,10 +179,31 @@ def cmd_merge(out_path: str, in_paths: list[str]) -> int:
     return 0
 
 
+HOST_FINGERPRINT = ("num_cpus", "mhz_per_cpu", "library_build_type")
+
+
+def fingerprint(doc: dict) -> dict:
+    context = doc.get("context")
+    if not isinstance(context, dict):
+        context = {}
+    return {key: context.get(key) for key in HOST_FINGERPRINT}
+
+
 def cmd_compare(old_path: str, new_path: str, threshold: float,
-                allow_missing: bool) -> int:
-    old = best_by_name(load(old_path))
-    new = best_by_name(load(new_path))
+                allow_missing: bool, cross_host: bool) -> int:
+    old_doc = load(old_path)
+    new_doc = load(new_path)
+    old_host = fingerprint(old_doc)
+    new_host = fingerprint(new_doc)
+    if old_host != new_host and not cross_host:
+        print(f"bench_regress: refusing a cross-host compare:\n"
+              f"  {old_path}: {old_host}\n"
+              f"  {new_path}: {new_host}\n"
+              f"Record the baseline on this host, or pass --cross-host.",
+              file=sys.stderr)
+        return 2
+    old = best_by_name(old_doc)
+    new = best_by_name(new_doc)
     common = sorted(set(old) & set(new))
     if not common:
         print("bench_regress: no common benchmarks to compare",
@@ -230,6 +257,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--allow-missing", action="store_true",
                         help="tolerate baseline benchmarks absent from "
                              "NEW.json (intentional-subset runs)")
+    parser.add_argument("--cross-host", action="store_true",
+                        help="compare even when the two runs' host "
+                             "fingerprints differ")
     args = parser.parse_args(argv)
 
     if args.check_schema:
@@ -245,7 +275,7 @@ def main(argv: list[str]) -> int:
     if not 0.0 <= args.threshold < 1.0:
         parser.error("--threshold must be in [0, 1)")
     return cmd_compare(args.files[0], args.files[1], args.threshold,
-                       args.allow_missing)
+                       args.allow_missing, args.cross_host)
 
 
 if __name__ == "__main__":

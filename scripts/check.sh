@@ -44,8 +44,9 @@
 #   scripts/check.sh lint       # static-analysis flavor: ctlint (all
 #                               # passes, empty-baseline gate) + fixture
 #                               # self-test, bench_regress schema
-#                               # self-check (and its duplicate-row
-#                               # and time_unit checks), clang-tidy over the exported
+#                               # self-check (and its duplicate-row,
+#                               # time_unit and cross-host checks),
+#                               # clang-tidy over the exported
 #                               # compile database, and a Clang
 #                               # -Wthread-safety -Werror build of the
 #                               # whole tree. The clang-tidy and Clang
@@ -196,6 +197,22 @@ if abs(rate - 500.0) > 1e-9:
     sys.exit(f"==> [lint] FAILED: 2 ms per iteration read as {rate}/s")
 PY
 
+  echo "==> [lint] bench_regress cross-host self-check (num_cpus differs: exit 2)"
+  local host_json="${build_dir}/BENCH_other_host.json"
+  python3 - BENCH_baseline.json "${host_json}" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1], encoding="utf-8"))
+doc["context"]["num_cpus"] = doc["context"].get("num_cpus", 1) + 1
+json.dump(doc, open(sys.argv[2], "w", encoding="utf-8"))
+PY
+  local host_status=0
+  python3 scripts/bench_regress.py BENCH_baseline.json "${host_json}" \
+    > /dev/null 2>&1 || host_status=$?
+  if [ "${host_status}" -ne 2 ]; then
+    echo "==> [lint] FAILED: a cross-host compare exited ${host_status}, not 2" >&2
+    return 1
+  fi
+
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "==> [lint] clang-tidy (compile database: ${build_dir})"
     # shellcheck disable=SC2046
@@ -302,7 +319,9 @@ python3 scripts/bench_regress.py --merge "${BENCH_SMOKE_DIR}/BENCH_smoke.json" \
   "${BENCH_SMOKE_DIR}/BENCH_bench_crp_store_recovery.json"
 # --allow-missing: the smoke filter deliberately runs a subset of the
 # baseline's cases; a full-length run should compare WITHOUT it so a
-# vanished case fails loudly.
+# vanished case fails loudly. No --cross-host: a baseline recorded on
+# another kind of host fails the compare by name (exit 2) instead of
+# reading as a regression.
 python3 scripts/bench_regress.py \
   --threshold "${NEUROPULS_BENCH_THRESHOLD:-0.5}" \
   --allow-missing \

@@ -33,20 +33,20 @@ SecureAccelerator::SecureAccelerator(std::unique_ptr<MvmEngine> engine,
 }
 
 void SecureAccelerator::require_service() const {
-  const common::ReadLock lock(health_mutex_);
+  const common::MutexLock lock(health_mutex_);
   if (health_ == HealthState::kLockedOut) throw LockedOutError();
 }
 
 void SecureAccelerator::note_success() {
   // LockedOut is sticky (only reset_health() clears it), so a success can
   // only be observed in Healthy/Degraded — both recover fully.
-  const common::WriteLock lock(health_mutex_);
+  const common::MutexLock lock(health_mutex_);
   consecutive_failures_ = 0;
   health_ = HealthState::kHealthy;
 }
 
 void SecureAccelerator::note_failure() {
-  const common::WriteLock lock(health_mutex_);
+  const common::MutexLock lock(health_mutex_);
   ++consecutive_failures_;
   if (consecutive_failures_ >= health_policy_.lockout_after) {
     health_ = HealthState::kLockedOut;

@@ -54,9 +54,10 @@ class LockedOutError : public std::runtime_error {
 
 /// Thread-safe: the ciphered entry points serialize on mutex_ (the
 /// engine and nonce counter are single-stream hardware state); the
-/// health machine lives under its own reader/writer lock so monitors can
-/// poll health()/consecutive_failures() without queueing behind a long
-/// inference. Lock order: mutex_ > health_mutex_.
+/// health machine lives under its own lock, held only for a few field
+/// reads or writes, so monitors can poll health()/consecutive_failures()
+/// without queueing behind a long inference, which holds mutex_. Lock
+/// order: mutex_ > health_mutex_.
 class SecureAccelerator {
  public:
   /// `device_key` is the PUF-derived encryption key (from
@@ -93,15 +94,15 @@ class SecureAccelerator {
   /// resets to Healthy. LockedOut is sticky — only an explicit operator
   /// reset_health() (re-provisioning) restores service.
   HealthState health() const NP_EXCLUDES(health_mutex_) {
-    const common::ReadLock lock(health_mutex_);
+    const common::MutexLock lock(health_mutex_);
     return health_;
   }
   std::uint32_t consecutive_failures() const NP_EXCLUDES(health_mutex_) {
-    const common::ReadLock lock(health_mutex_);
+    const common::MutexLock lock(health_mutex_);
     return consecutive_failures_;
   }
   void reset_health() NP_EXCLUDES(health_mutex_) {
-    const common::WriteLock lock(health_mutex_);
+    const common::MutexLock lock(health_mutex_);
     health_ = HealthState::kHealthy;
     consecutive_failures_ = 0;
   }
@@ -130,7 +131,7 @@ class SecureAccelerator {
   std::uint64_t nonce_counter_ NP_GUARDED_BY(mutex_) =
       0x80000000ULL;  // device-side nonce space
   HealthPolicy health_policy_;  // immutable after construction
-  mutable common::SharedMutex health_mutex_;
+  mutable common::Mutex health_mutex_;
   HealthState health_ NP_GUARDED_BY(health_mutex_) = HealthState::kHealthy;
   std::uint32_t consecutive_failures_ NP_GUARDED_BY(health_mutex_) = 0;
 };

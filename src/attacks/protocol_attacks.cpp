@@ -1,5 +1,6 @@
 #include "attacks/protocol_attacks.hpp"
 
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 
 namespace neuropuls::attacks {
@@ -29,9 +30,9 @@ World make_world(std::uint64_t seed) {
   return w;
 }
 
-bool honest_session(World& w, std::uint64_t session, std::uint64_t nonce) {
+bool honest_session(World& w, std::uint64_t session, std::uint64_t seed) {
   return core::run_auth_session(*w.verifier, *w.device, *w.channel, session,
-                                nonce);
+                                seed);
 }
 
 }  // namespace
@@ -72,28 +73,25 @@ ProtocolAttackReport mitm_session_graft(std::uint64_t seed) {
 
   // The attacker relays the verifier's request to the device but rewrites
   // the session id, hoping to make the device answer a session the
-  // attacker controls; it then re-frames the device's answer back.
+  // attacker controls; it then re-frames the device's answer back. A
+  // session driver would discard both re-framed frames on their session
+  // id, so the attacker hands them to the endpoints directly: the grafted
+  // response must reach — and fail — the verifier's MAC check.
   constexpr std::uint64_t kAttackerSession = 0xEE;
-  w.channel->set_adversary([&](net::Direction d, const net::Message& m) {
-    if (d == net::Direction::kAtoB &&
-        m.type == net::MessageType::kAuthRequest) {
-      net::Message reframed = m;
-      reframed.session_id = kAttackerSession;
-      return net::Verdict::replace(reframed);
-    }
-    if (d == net::Direction::kBtoA &&
-        m.type == net::MessageType::kAuthResponse) {
-      net::Message reframed = m;
-      reframed.session_id = 1;  // graft back onto the verifier's session
-      return net::Verdict::replace(reframed);
-    }
-    return net::Verdict::pass();
-  });
-  // The grafted response carries a MAC computed over the attacker's
-  // session id; the verifier MACs over its own id -> must fail.
-  report.attacker_succeeded = honest_session(w, 1, 100);
+  net::Message request = w.verifier->start(1, 100);
+  request.session_id = kAttackerSession;
+  const auto response = w.device->handle_request(request);
+  if (!response) {
+    report.honest_parties_recovered = false;
+    return report;
+  }
+  net::Message grafted = *response;
+  grafted.session_id = 1;  // graft back onto the verifier's session
+  // The device MACed over the attacker's session id; the verifier MACs
+  // over its own id -> must fail.
+  report.attacker_succeeded =
+      w.verifier->process_response(grafted).status == core::AuthStatus::kOk;
 
-  w.channel->set_adversary(nullptr);
   report.honest_parties_recovered = honest_session(w, 9, 900);
   return report;
 }

@@ -26,9 +26,9 @@ struct ProtocolAttackReport {
 /// the device.
 ProtocolAttackReport replay_attack(std::uint64_t seed);
 
-/// Full man-in-the-middle relay: the attacker intercepts every message
-/// and re-frames it under a different session id, attempting to graft a
-/// session of its own onto the device's answers.
+/// Man-in-the-middle relay: the attacker re-frames the verifier's request
+/// under a session id of its own and grafts the device's answer back onto
+/// the verifier's session, feeding both endpoints directly.
 ProtocolAttackReport mitm_session_graft(std::uint64_t seed);
 
 /// Desynchronisation: drop confirm messages for `lossy_sessions`

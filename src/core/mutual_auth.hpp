@@ -162,10 +162,4 @@ struct ProvisioningResult {
 };
 ProvisioningResult provision(puf::Puf& puf, crypto::ChaChaDrbg& rng);
 
-/// Runs one full session over a channel. Returns true iff both sides
-/// authenticated and rotated. Convenience for examples/benches.
-bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
-                      net::DuplexChannel& channel, std::uint64_t session_id,
-                      std::uint64_t nonce);
-
 }  // namespace neuropuls::core

@@ -309,4 +309,49 @@ SessionReport SessionDriver::run_eke(EkeParty& initiator, EkeParty& responder,
   return machine.report();
 }
 
+namespace {
+/// One attempt, no retry. Callers pass session_base = session_id - 1, so
+/// that attempt runs on `session_id` itself.
+RetryPolicy single_attempt(std::uint64_t seed) {
+  RetryPolicy policy;
+  policy.max_attempts = 1;
+  policy.seed = seed;
+  return policy;
+}
+}  // namespace
+
+bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
+                      net::DuplexChannel& channel, std::uint64_t session_id,
+                      std::uint64_t seed) {
+  SessionDriver driver(channel, single_attempt(seed));
+  return driver.run_mutual_auth(verifier, device, session_id - 1).result ==
+         SessionResult::kConverged;
+}
+
+EkeHandshakeOutcome run_eke_handshake(const crypto::Bytes& initiator_secret,
+                                      const crypto::Bytes& responder_secret,
+                                      const crypto::DhGroup& group,
+                                      std::uint64_t session_id,
+                                      std::uint64_t seed) {
+  crypto::Bytes seed_i = crypto::bytes_of("eke-i");
+  crypto::append_u64_be(seed_i, seed);
+  crypto::Bytes seed_r = crypto::bytes_of("eke-r");
+  crypto::append_u64_be(seed_r, seed);
+  EkeParty initiator(initiator_secret, group, crypto::ChaChaDrbg(seed_i));
+  EkeParty responder(responder_secret, group, crypto::ChaChaDrbg(seed_r));
+
+  net::DuplexChannel channel;
+  SessionDriver driver(channel, single_attempt(seed));
+  EkeHandshakeOutcome outcome;
+  if (driver.run_eke(initiator, responder, session_id - 1).result !=
+      SessionResult::kConverged) {
+    return outcome;
+  }
+  outcome.initiator = {true, initiator.session_key().clone()};
+  outcome.responder = {true, responder.session_key().clone()};
+  outcome.keys_match =
+      common::ct_equal(initiator.session_key(), responder.session_key());
+  return outcome;
+}
+
 }  // namespace neuropuls::core

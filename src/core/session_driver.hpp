@@ -1,16 +1,17 @@
-// Graceful-degradation session driver: retries over a lossy channel.
+// The one driver of every protocol exchange in this stack: a bounded
+// retry/timeout/backoff state machine around the Fig. 4 mutual
+// authentication and the §IV EKE.
 //
-// `run_auth_session` / `run_eke_handshake` assume every frame arrives;
-// over a faulty link (faults::FaultyChannel) a dropped or corrupted frame
-// would either hang the naive driver or abort the whole exchange. The
-// SessionDriver wraps one protocol exchange in a bounded
-// retry/timeout/backoff state machine:
+// A real link drops, corrupts, duplicates and delays frames
+// (faults::FaultyChannel models them), and a shared inbox holds frames of
+// other sessions. The SessionDriver therefore takes only the frame it
+// expects and fails an attempt, never the process, on a lost one:
 //
 //   attempt k (session id = base + k):
 //     run the handshake, each receive bounded by `receive_poll_budget`
 //     channel polls (DuplexChannel::receive_with_budget semantics, with
-//     stale/wrong-type frames of other attempts discarded, not consumed
-//     against the budget);
+//     stale/wrong-type frames of other sessions or attempts discarded,
+//     not consumed against the budget);
 //   on failure: drain both directions, back off for a deterministic
 //     jittered number of poll ticks, and retry with a fresh session id —
 //     up to `max_attempts` attempts, then report kExhausted.
@@ -33,6 +34,9 @@
 // one machine to completion, so a blocking serial run and a multiplexed
 // core::SessionEngine run execute the identical operation sequence per
 // session — that equivalence is what the engine's determinism tests pin.
+// `run_auth_session` and `run_eke_handshake` (end of this file) are
+// one-attempt driver runs, so examples, benches, the attack battery and
+// the §V simulator take the same frame path as the verifier engine.
 #pragma once
 
 #include <cstdint>
@@ -222,5 +226,33 @@ class SessionDriver {
   RetryPolicy policy_;
   crypto::ChaChaDrbg rng_;
 };
+
+/// One Fig. 4 session as a single-attempt SessionDriver run: session id
+/// `session_id` on the wire, nonce drawn from the driver DRBG seeded by
+/// `seed`. Returns true iff both sides authenticated and rotated.
+bool run_auth_session(AuthVerifier& verifier, AuthDevice& device,
+                      net::DuplexChannel& channel, std::uint64_t session_id,
+                      std::uint64_t seed);
+
+struct EkeResult {
+  bool succeeded = false;
+  common::SecretBytes session_key;  // 32 bytes when succeeded
+};
+
+struct EkeHandshakeOutcome {
+  EkeResult initiator;
+  EkeResult responder;
+  bool keys_match = false;
+};
+
+/// One EKE handshake as a single-attempt SessionDriver run over a private
+/// in-process channel. The parties' DRBGs are seeded from `seed` ("eke-i"
+/// / "eke-r" || seed), so a given (secrets, group, session_id, seed)
+/// always yields the same session keys.
+EkeHandshakeOutcome run_eke_handshake(const crypto::Bytes& initiator_secret,
+                                      const crypto::Bytes& responder_secret,
+                                      const crypto::DhGroup& group,
+                                      std::uint64_t session_id,
+                                      std::uint64_t seed);
 
 }  // namespace neuropuls::core

@@ -81,7 +81,6 @@ class FaultyChannel {
   FaultyChannel(const FaultyChannel&) = delete;
   FaultyChannel& operator=(const FaultyChannel&) = delete;
 
-  net::DuplexChannel& channel() noexcept { return channel_; }
   const ChannelFaultStats& stats(net::Direction direction) const noexcept {
     return direction == net::Direction::kAtoB ? stats_ab_ : stats_ba_;
   }

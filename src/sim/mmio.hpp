@@ -1,7 +1,8 @@
 // Register-level MMIO bus and the PUF device's register map — the
 // "peripheral module connected to the RISC-V microprocessor, providing
 // the essential infrastructure for the delivery of the programming API"
-// of §V, one abstraction level below `PufPeripheral`'s firmware helper.
+// of §V. `PufPeripheral` maps one PufMmioDevice on its own bus and
+// reads the PUF through `mmio_puf_evaluate`.
 //
 // PUF device register map (32-bit registers, byte offsets):
 //   0x000  CTRL     W   bit0 START (begin interrogation), bit1 RESET

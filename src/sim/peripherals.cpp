@@ -1,45 +1,32 @@
 #include "sim/peripherals.hpp"
 
+#include <stdexcept>
+#include <utility>
+
 namespace neuropuls::sim {
 
 PufPeripheral::PufPeripheral(EventScheduler& scheduler, StatsRegistry& stats,
-                             puf::Puf& puf, double response_latency_ns,
-                             MmioCosts costs)
+                             CpuModel& cpu, puf::Puf& puf,
+                             double response_latency_ns)
     : scheduler_(scheduler),
       stats_(stats),
-      puf_(puf),
+      cpu_(cpu),
       response_latency_ns_(response_latency_ns),
-      costs_(costs) {}
+      device_(scheduler, puf, response_latency_ns),
+      bus_(cpu) {
+  bus_.map(kBase, &device_);
+}
 
-puf::Response PufPeripheral::evaluate(const puf::Challenge& challenge,
-                                      CpuModel& cpu) {
-  // Write challenge registers: one 32-bit MMIO write per 4 bytes.
-  const std::size_t challenge_regs = (challenge.size() + 3) / 4;
-  cpu.busy_ns(costs_.register_access_ns *
-              static_cast<double>(challenge_regs + 1));  // +1 trigger
-
-  // Device runs concurrently; the core polls the status register. Model:
-  // the device finishes after response_latency_ns; the CPU polls at
-  // 2x the register access period and sees it on the first poll after.
-  const double poll_period = 2.0 * costs_.register_access_ns;
-  const double polls = std::max(1.0, response_latency_ns_ / poll_period);
-  bool device_done = false;
-  scheduler_.schedule_after(ps_from_ns(response_latency_ns_),
-                            [&device_done] { device_done = true; });
-  cpu.busy_ns(polls * poll_period);
-  // The scheduler has advanced past the completion event inside busy_ns.
-  (void)device_done;
-
-  const puf::Response response = puf_.evaluate(challenge);
-
-  // Read response registers.
-  const std::size_t response_regs = (response.size() + 3) / 4;
-  cpu.busy_ns(costs_.register_access_ns * static_cast<double>(response_regs));
-
+puf::Response PufPeripheral::evaluate(const puf::Challenge& challenge) {
+  auto response =
+      mmio_puf_evaluate(bus_, kBase, challenge, cpu_, scheduler_);
+  if (!response) {
+    throw std::runtime_error("PufPeripheral: device reported ERROR");
+  }
   stats_.count("puf.evaluations");
   stats_.add("puf.device_time_ns", response_latency_ns_);
-  log_.push_back(puf::Crp{challenge, response});
-  return response;
+  log_.push_back(puf::Crp{challenge, *response});
+  return std::move(*response);
 }
 
 AcceleratorPeripheral::AcceleratorPeripheral(

@@ -10,33 +10,40 @@
 // gem5 logging workflow §V sketches.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "accel/secure_api.hpp"
 #include "puf/crp_db.hpp"
 #include "sim/cpu.hpp"
+#include "sim/mmio.hpp"
 
 namespace neuropuls::sim {
 
 struct MmioCosts {
-  double register_access_ns = 20.0;  // one uncached MMIO read/write
   double dma_setup_ns = 200.0;
 };
 
-/// The PUF as a memory-mapped device.
+/// The PUF as a memory-mapped device: a PufMmioDevice mapped on the
+/// peripheral's own MmioBus, read by the mmio_puf_evaluate firmware
+/// sequence (sim/mmio.hpp).
 class PufPeripheral {
  public:
+  /// Bus address of the PUF's register map.
+  static constexpr std::uint32_t kBase = 0x4000'0000;
+
   /// `response_latency_ns` is the device-side interrogation time (for the
-  /// photonic PUF: PhotonicPuf::interrogation_time_s * 1e9).
+  /// photonic PUF: PhotonicPuf::interrogation_time_s * 1e9). Register
+  /// accesses and polls are charged to `cpu`.
   PufPeripheral(EventScheduler& scheduler, StatsRegistry& stats,
-                puf::Puf& puf, double response_latency_ns,
-                MmioCosts costs = {});
+                CpuModel& cpu, puf::Puf& puf, double response_latency_ns);
+  PufPeripheral(const PufPeripheral&) = delete;
+  PufPeripheral& operator=(const PufPeripheral&) = delete;
 
   /// Firmware-level operation: write the challenge registers, trigger,
   /// poll until ready, read the response registers. Advances time
   /// accordingly and returns the response.
-  puf::Response evaluate(const puf::Challenge& challenge, CpuModel& cpu);
+  puf::Response evaluate(const puf::Challenge& challenge);
 
   /// CRPs served so far (the gem5-style log).
   const std::vector<puf::Crp>& log() const noexcept { return log_; }
@@ -46,9 +53,10 @@ class PufPeripheral {
  private:
   EventScheduler& scheduler_;
   StatsRegistry& stats_;
-  puf::Puf& puf_;
+  CpuModel& cpu_;
   double response_latency_ns_;
-  MmioCosts costs_;
+  PufMmioDevice device_;
+  MmioBus bus_;
   std::vector<puf::Crp> log_;
 };
 

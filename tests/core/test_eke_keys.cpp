@@ -3,6 +3,8 @@
 
 #include "core/aka_eke.hpp"
 #include "core/key_manager.hpp"
+#include "core/session_driver.hpp"
+#include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 #include "puf/sram_puf.hpp"
 
@@ -18,6 +20,22 @@ TEST(Eke, HandshakeAgreesOnKey) {
   EXPECT_TRUE(outcome.responder.succeeded);
   EXPECT_TRUE(outcome.keys_match);
   EXPECT_EQ(outcome.initiator.session_key.size(), 32u);
+}
+
+TEST(Eke, GoldenSessionKeysPinned) {
+  // Byte-identity pin: the keys of one fixed handshake, as SHA-256 digests
+  // recorded before the handshake ran through SessionDriver. Any change to
+  // the party seeding, the session id on the wire or the transcript moves
+  // them.
+  const crypto::Bytes secret = crypto::bytes_of("shared CRP response");
+  const auto outcome = run_eke_handshake(secret, secret, group(), 1, 42);
+  ASSERT_TRUE(outcome.keys_match);
+  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(
+                outcome.initiator.session_key.reveal())),
+            "98b57bac6d367b742ea8bdfbfa1a415bb94faf7682060b6a6808567b911f24ab");
+  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(
+                outcome.responder.session_key.reveal())),
+            "98b57bac6d367b742ea8bdfbfa1a415bb94faf7682060b6a6808567b911f24ab");
 }
 
 TEST(Eke, WrongPasswordFails) {

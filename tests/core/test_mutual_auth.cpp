@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 
@@ -67,6 +68,19 @@ TEST(MutualAuth, CrpRotatesEverySession) {
   }
 }
 
+TEST(MutualAuth, GoldenSecretChainAfterFiveSessions) {
+  // Byte-identity pin: the verifier secret after five sessions on one
+  // harness, as a SHA-256 digest. The chain r_{i+1} = PUF(RNG(r_i)) does
+  // not depend on the session nonce, so it holds whatever draws the nonce.
+  Harness s = make_harness();
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(run_auth_session(*s.verifier, *s.device, *s.channel, i, i));
+  }
+  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(
+                s.verifier->current_secret().reveal())),
+            "c7678d2e792b8626a63e46631a4e54599e5e914bfc60f655ddee8f7e4f8858b6");
+}
+
 TEST(MutualAuth, VerifierStateIsOneResponse) {
   // The paper's scalability claim: verifier stores one response (plus a
   // one-deep fallback), not a CRP database. Sanity-check the object's
@@ -93,6 +107,22 @@ TEST(MutualAuth, ReplayedResponseRejected) {
   (void)request;  // never reaches the device
   const auto outcome = s.verifier->process_response(recorded);
   EXPECT_NE(outcome.status, AuthStatus::kOk);
+}
+
+TEST(MutualAuth, ResponseReframedOntoAnotherSessionFailsMac) {
+  // The response MAC binds the session id: the genuine answer to session
+  // 1, re-framed onto the verifier's active session 2, passes the session
+  // check and must then fail the MAC check.
+  Harness s = make_harness();
+  const auto response = s.device->handle_request(s.verifier->start(1, 0x01));
+  ASSERT_TRUE(response.has_value());
+  (void)s.verifier->start(2, 0x02);
+  net::Message reframed = *response;
+  reframed.session_id = 2;
+  const auto outcome = s.verifier->process_response(reframed);
+  EXPECT_EQ(outcome.status, AuthStatus::kBadMac);
+  EXPECT_FALSE(outcome.confirm.has_value());
+  EXPECT_EQ(s.verifier->completed_sessions(), 0u);
 }
 
 TEST(MutualAuth, ReplayedResponseBurnsNoFreshCrp) {

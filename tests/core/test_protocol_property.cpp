@@ -4,8 +4,7 @@
 // lengths.
 #include <gtest/gtest.h>
 
-#include "core/aka_eke.hpp"
-#include "core/mutual_auth.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/photonic_puf.hpp"
 

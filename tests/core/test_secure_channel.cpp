@@ -2,8 +2,8 @@
 // rejection with poisoning, direction separation, and the rekey ratchet.
 #include <gtest/gtest.h>
 
-#include "core/aka_eke.hpp"
 #include "core/secure_channel.hpp"
+#include "core/session_driver.hpp"
 
 namespace neuropuls::core {
 namespace {

@@ -7,11 +7,10 @@
 #include <memory>
 
 #include "accel/secure_api.hpp"
-#include "core/aka_eke.hpp"
 #include "core/attestation.hpp"
 #include "core/key_manager.hpp"
-#include "core/mutual_auth.hpp"
 #include "core/secure_channel.hpp"
+#include "core/session_driver.hpp"
 #include "crypto/sha256.hpp"
 #include "puf/composite.hpp"
 #include "puf/photonic_puf.hpp"

@@ -130,10 +130,10 @@ TEST(PufPeripheral, ChargesDeviceLatencyAndLogs) {
   StatsRegistry stats;
   CpuModel cpu(scheduler, stats);
   puf::PhotonicPuf device_puf(puf::small_photonic_config(), 5, 0);
-  PufPeripheral peripheral(scheduler, stats, device_puf,
+  PufPeripheral peripheral(scheduler, stats, cpu, device_puf,
                            device_puf.interrogation_time_s() * 1e9);
   const puf::Challenge c(device_puf.challenge_bytes(), 0x12);
-  const auto response = peripheral.evaluate(c, cpu);
+  const auto response = peripheral.evaluate(c);
   EXPECT_EQ(response.size(), device_puf.response_bytes());
   EXPECT_GE(scheduler.now_ns(), peripheral.response_latency_ns());
   ASSERT_EQ(peripheral.log().size(), 1u);

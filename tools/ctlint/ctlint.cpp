@@ -31,9 +31,9 @@
 //                       wipe on destruction)
 //
 // Concurrency rules (keyed on the annotated wrappers in common/mutex.hpp
-// — MutexLock/ShardLock/ReadLock/WriteLock declarations are acquisitions,
-// `.unlock()`/`.lock()` toggle them, scope exit releases them; the
-// analysis is lexical, per function — call-graph effects are TSan's job):
+// — MutexLock/ShardLock declarations are acquisitions, `.unlock()`/
+// `.lock()` toggle them, scope exit releases them; the analysis is
+// lexical, per function — call-graph effects are TSan's job):
 //   lock-order          builds the static acquisition graph (held lock ->
 //                       newly acquired lock, nodes keyed by the mutex
 //                       member name) across all linted files and fails on
@@ -451,17 +451,16 @@ void check_file(const std::string& display_path, const ParsedFile& file,
 // Concurrency passes.
 //
 // All three key on the annotated wrapper types from common/mutex.hpp. A
-// declaration `MutexLock name(arg...)` (likewise ShardLock / ReadLock /
-// WriteLock) is an acquisition; the lock's graph node is the last
-// identifier of the first constructor argument (`mutex_`, `loop->m` ->
-// `m`, `shard.mutex` -> `mutex`), i.e. the mutex member name — the same
+// declaration `MutexLock name(arg...)` (likewise ShardLock) is an
+// acquisition; the lock's graph node is the last identifier of the first
+// constructor argument (`mutex_`, `loop->m` -> `m`, `shard.mutex` ->
+// `mutex`), i.e. the mutex member name — the same
 // vocabulary the lock-order comment in common/mutex.hpp uses. Tracking
 // is lexical and brace-scoped, exactly like the missing-wipe scan: the
 // lock dies when the brace depth drops below its declaration depth, and
 // `name.unlock()` / `name.lock()` toggle it in between.
 
-const std::set<std::string> kScopedLockTypes = {"MutexLock", "ShardLock",
-                                                "ReadLock", "WriteLock"};
+const std::set<std::string> kScopedLockTypes = {"MutexLock", "ShardLock"};
 
 // Session-runtime locks that must never be held when entering the CRP
 // store: shard locks are leaves of the documented order.
