@@ -2,9 +2,9 @@
 //
 // Prints a dudect-style t-statistic table for the stack's secret-handling
 // primitives — the constant-time comparator, CMAC tag verification,
-// HMAC-SHA256 verification — against the deliberately variable-time
-// control, then times the harness itself so its cost per audited
-// primitive is known.
+// AES-CTR and CMAC under fixed-vs-random keys, HMAC-SHA256 verification
+// — against the deliberately variable-time control, then times the
+// harness itself so its cost per audited primitive is known.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -60,6 +60,29 @@ void print_leak_table() {
                   (void)sink;
                 },
                 message, config));
+  // Fixed-vs-random key: the class input is the AES key (all-zero fixed
+  // class), exercising the key schedule and the keyed rounds.
+  const crypto::Bytes zero_key(16, 0x00);
+  const crypto::Bytes nonce(16, 0xA5);
+  const crypto::Bytes input_frame(132, 0x3C);  // one 16-wide input
+  const crypto::Bytes frame_body(148, 0x5E);   // nonce || ciphertext
+  print_row("AES-CTR key class (132 B)",
+            measure_timing_leak(
+                [&](crypto::ByteView key) {
+                  const crypto::Bytes ct =
+                      crypto::aes_ctr(key, nonce, input_frame);
+                  volatile std::uint8_t sink = ct[0];
+                  (void)sink;
+                },
+                zero_key, config));
+  print_row("CMAC key class (148 B)",
+            measure_timing_leak(
+                [&](crypto::ByteView key) {
+                  const crypto::Bytes tag = crypto::aes_cmac(key, frame_body);
+                  volatile std::uint8_t sink = tag[0];
+                  (void)sink;
+                },
+                zero_key, config));
   print_row("HMAC-SHA256 verify (256 B)",
             measure_timing_leak(
                 [&](crypto::ByteView input) {

@@ -281,7 +281,18 @@ if [ ${#FULL_CONFIGS[@]} -eq 0 ]; then
   exit 0
 fi
 
-LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
+# The bench smoke times binaries, so it runs from the first
+# non-sanitizer tree this invocation built (plain or native): sanitizer
+# binaries are several times slower and would read as regressions
+# against BENCH_baseline.json. ctlint is a host tool; any tree serves.
+BENCH_TREE=""
+for config in "${FULL_CONFIGS[@]}"; do
+  if [ "${config}" = "plain" ] || [ "${config}" = "native" ]; then
+    BENCH_TREE="build-check/${config}"
+    break
+  fi
+done
+LINT_TREE="${BENCH_TREE:-build-check/${FULL_CONFIGS[0]}}"
 
 # Benchmark smoke pass: run the hot-path benchmark binaries just long
 # enough to emit JSON, validate the schema, and diff throughput against
@@ -289,47 +300,57 @@ LAST_BUILD="build-check/${FULL_CONFIGS[${#FULL_CONFIGS[@]}-1]}"
 # (smoke iterations are noisy); it catches order-of-magnitude cliffs, not
 # single-digit drift. The single-evaluation photonic cases ride along
 # with the batch ones: both run through the same lane-block evaluator.
-BENCH_SMOKE_DIR="${LAST_BUILD}/bench-smoke"
-BENCH_SMOKE_FILTER='PhotonicEvaluate$|PhotonicEvaluateNoiseless$|PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery'
-mkdir -p "${BENCH_SMOKE_DIR}"
-for bench in bench_puf_quality bench_system_level bench_server bench_crp_store_recovery; do
-  bench_bin="${LAST_BUILD}/bench/${bench}"
-  if [ ! -x "${bench_bin}" ]; then
-    echo "==> bench smoke: ${bench_bin} missing" >&2
-    exit 1
-  fi
-  echo "==> bench smoke: ${bench}"
-  "${bench_bin}" \
-    --benchmark_min_time=0.01 \
-    --benchmark_filter="${BENCH_SMOKE_FILTER}" \
-    --benchmark_out="${BENCH_SMOKE_DIR}/BENCH_${bench}.json" \
-    --benchmark_out_format=json \
-    > /dev/null
-done
+run_bench_smoke() {
+  local smoke_dir="${BENCH_TREE}/bench-smoke"
+  local filter='PhotonicEvaluate$|PhotonicEvaluateNoiseless$|PhotonicNoiselessBatch|PhotonicEvaluateBatch|VerifierModelSweep|ServerSessions|CrpStoreMixedOps|CrpStoreGroupCommit|CrpStoreFsyncPerOp|CrpStoreRecovery'
+  mkdir -p "${smoke_dir}"
+  local bench bench_bin
+  for bench in bench_puf_quality bench_system_level bench_server bench_crp_store_recovery; do
+    bench_bin="${BENCH_TREE}/bench/${bench}"
+    if [ ! -x "${bench_bin}" ]; then
+      echo "==> bench smoke: ${bench_bin} missing" >&2
+      return 1
+    fi
+    echo "==> bench smoke: ${bench} (${BENCH_TREE})"
+    "${bench_bin}" \
+      --benchmark_min_time=0.01 \
+      --benchmark_filter="${filter}" \
+      --benchmark_out="${smoke_dir}/BENCH_${bench}.json" \
+      --benchmark_out_format=json \
+      > /dev/null
+  done
 
-echo "==> bench smoke: schema check"
-python3 scripts/bench_regress.py --check-schema \
-  "${BENCH_SMOKE_DIR}"/BENCH_*.json
+  echo "==> bench smoke: schema check"
+  python3 scripts/bench_regress.py --check-schema "${smoke_dir}"/BENCH_*.json
 
-echo "==> bench smoke: merge + compare vs BENCH_baseline.json"
-python3 scripts/bench_regress.py --merge "${BENCH_SMOKE_DIR}/BENCH_smoke.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_puf_quality.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_system_level.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_server.json" \
-  "${BENCH_SMOKE_DIR}/BENCH_bench_crp_store_recovery.json"
-# --allow-missing: the smoke filter deliberately runs a subset of the
-# baseline's cases; a full-length run should compare WITHOUT it so a
-# vanished case fails loudly. No --cross-host: a baseline recorded on
-# another kind of host fails the compare by name (exit 2) instead of
-# reading as a regression.
-python3 scripts/bench_regress.py \
-  --threshold "${NEUROPULS_BENCH_THRESHOLD:-0.5}" \
-  --allow-missing \
-  BENCH_baseline.json "${BENCH_SMOKE_DIR}/BENCH_smoke.json"
+  echo "==> bench smoke: merge + compare vs BENCH_baseline.json"
+  python3 scripts/bench_regress.py --merge "${smoke_dir}/BENCH_smoke.json" \
+    "${smoke_dir}/BENCH_bench_puf_quality.json" \
+    "${smoke_dir}/BENCH_bench_system_level.json" \
+    "${smoke_dir}/BENCH_bench_server.json" \
+    "${smoke_dir}/BENCH_bench_crp_store_recovery.json"
+  # --allow-missing: the smoke filter deliberately runs a subset of the
+  # baseline's cases; a full-length run should compare WITHOUT it so a
+  # vanished case fails loudly. No --cross-host: a baseline recorded on
+  # another kind of host fails the compare by name (exit 2) instead of
+  # reading as a regression.
+  python3 scripts/bench_regress.py \
+    --threshold "${NEUROPULS_BENCH_THRESHOLD:-0.5}" \
+    --allow-missing \
+    BENCH_baseline.json "${smoke_dir}/BENCH_smoke.json"
+}
+
+if [ -n "${BENCH_TREE}" ]; then
+  run_bench_smoke
+else
+  echo "==> bench smoke: SKIPPED — only sanitizer trees were built" \
+       "(${FULL_CONFIGS[*]}); their timings are not comparable with" \
+       "BENCH_baseline.json (add plain or native to run it)"
+fi
 
 # Standalone ctlint invocation against the tree (redundant with the ctest
 # case, but handy when iterating on lint annotations without a rebuild).
-echo "==> ctlint source pass (standalone)"
-"${LAST_BUILD}/tools/ctlint/ctlint" --baseline tools/ctlint/baseline.txt src
+echo "==> ctlint source pass (standalone, ${LINT_TREE})"
+"${LINT_TREE}/tools/ctlint/ctlint" --baseline tools/ctlint/baseline.txt src
 
 echo "==> all checks passed"

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "crypto/aes.hpp"
-
 namespace neuropuls::accel {
 
 namespace {
@@ -21,9 +19,9 @@ SecureAccelerator::SecureAccelerator(std::unique_ptr<MvmEngine> engine,
                                      common::SecretBytes device_key,
                                      HealthPolicy health_policy)
     : accelerator_(std::move(engine)),
-      device_key_(std::move(device_key)),
+      seal_key_(device_key.reveal()),
       health_policy_(health_policy) {
-  if (device_key_.empty()) {
+  if (device_key.empty()) {
     throw std::invalid_argument("SecureAccelerator: empty device key");
   }
   if (health_policy_.degrade_after == 0 ||
@@ -100,8 +98,7 @@ void SecureAccelerator::load_network(crypto::ByteView ciphered_network) {
   crypto::Bytes plaintext;  // ctlint:secret
   try {
     // Decrypt-and-verify happens "in hardware" — inside this boundary.
-    plaintext =
-        crypto::aes_ctr_then_mac_open(device_key_.reveal(), ciphered_network);
+    plaintext = seal_key_.open(ciphered_network);
   } catch (const std::runtime_error&) {
     // Authentication failure: tampered blob or wrong/degraded key. Count
     // it toward degradation, then surface the original error.
@@ -125,11 +122,6 @@ void SecureAccelerator::load_network(crypto::ByteView ciphered_network) {
   note_success();
 }
 
-crypto::Bytes SecureAccelerator::seal(crypto::ByteView plaintext) {
-  return crypto::aes_ctr_then_mac_seal(device_key_.reveal(),
-                                       nonce16(++nonce_counter_), plaintext);
-}
-
 crypto::Bytes SecureAccelerator::execute_network(
     crypto::ByteView ciphered_input) {
   const common::MutexLock entry(mutex_);  // mutex_ > health_mutex_
@@ -141,8 +133,7 @@ crypto::Bytes SecureAccelerator::execute_network(
   }
   crypto::Bytes plaintext;  // ctlint:secret
   try {
-    plaintext =
-        crypto::aes_ctr_then_mac_open(device_key_.reveal(), ciphered_input);
+    plaintext = seal_key_.open(ciphered_input);
   } catch (const std::runtime_error&) {
     note_failure();
     throw;
@@ -169,7 +160,7 @@ crypto::Bytes SecureAccelerator::execute_network(
 
   crypto::Bytes serialized = serialize_vector(output);  // ctlint:secret
   crypto::secure_wipe(output);
-  crypto::Bytes sealed = seal(serialized);
+  crypto::Bytes sealed = seal_key_.seal(nonce16(++nonce_counter_), serialized);
   crypto::secure_wipe(serialized);
   return sealed;
 }

@@ -7,11 +7,12 @@
 // accelerator ... data are never exposed in plaintext to the software
 // ... primitives that never leave plaintext in the memory after
 // execution." The class below is that hardware boundary: the only public
-// entry points take and return ciphertext, the device key lives inside,
-// and intermediate plaintext buffers are wiped before returning. The
-// tests assert both the functional property (round-trip correctness) and
-// the security property (tampered or wrongly-keyed blobs are rejected
-// before any plaintext is produced).
+// entry points take and return ciphertext, the device key lives inside
+// (expanded once into a crypto::SealKey), and intermediate plaintext
+// buffers are wiped before returning. The tests assert both the
+// functional property (round-trip correctness) and the security property
+// (tampered or wrongly-keyed blobs are rejected before any plaintext is
+// produced).
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "common/mutex.hpp"
 #include "common/secret.hpp"
 #include "common/thread_annotations.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/bytes.hpp"
 
 namespace neuropuls::accel {
@@ -61,8 +63,9 @@ class LockedOutError : public std::runtime_error {
 class SecureAccelerator {
  public:
   /// `device_key` is the PUF-derived encryption key (from
-  /// core::KeyManager); the taint type means callers hand over ownership
-  /// and the key is never exposed again once installed.
+  /// core::KeyManager); the taint type means callers hand over ownership.
+  /// The key is expanded once into the seal context and then wiped, so
+  /// the entry points derive nothing per call.
   SecureAccelerator(std::unique_ptr<MvmEngine> engine,
                     common::SecretBytes device_key,
                     HealthPolicy health_policy = {});
@@ -119,7 +122,6 @@ class SecureAccelerator {
                                             crypto::ByteView key);
 
  private:
-  crypto::Bytes seal(crypto::ByteView plaintext) NP_REQUIRES(mutex_);
   void require_service() const NP_EXCLUDES(health_mutex_);
   void note_success() NP_EXCLUDES(health_mutex_);
   void note_failure() NP_EXCLUDES(health_mutex_);
@@ -127,7 +129,7 @@ class SecureAccelerator {
   /// Serializes the ciphered entry points and guards the engine + nonce.
   mutable common::Mutex mutex_;
   Accelerator accelerator_ NP_GUARDED_BY(mutex_);
-  common::SecretBytes device_key_;  // immutable after construction
+  const crypto::SealKey seal_key_;  // wipes its schedules on destruction
   std::uint64_t nonce_counter_ NP_GUARDED_BY(mutex_) =
       0x80000000ULL;  // device-side nonce space
   HealthPolicy health_policy_;  // immutable after construction

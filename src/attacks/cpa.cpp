@@ -1,5 +1,6 @@
 #include "attacks/cpa.hpp"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -11,8 +12,19 @@ namespace neuropuls::attacks {
 
 namespace {
 
-double hamming_weight(std::uint8_t v) {
-  return static_cast<double>(std::popcount(static_cast<unsigned>(v)));
+// The attacker's public leakage model: HW(S(x)) for every S-box input,
+// built once from crypto::aes_sbox (the constant-time circuit costs too
+// much to re-evaluate traces x 256 x 16 times).
+const std::array<double, 256>& sbox_hamming_weights() {
+  static const std::array<double, 256> table = [] {
+    std::array<double, 256> hw{};
+    for (unsigned x = 0; x < 256; ++x) {
+      const unsigned y = crypto::aes_sbox(static_cast<std::uint8_t>(x));
+      hw[x] = static_cast<double>(std::popcount(y));
+    }
+    return hw;
+  }();
+  return table;
 }
 
 }  // namespace
@@ -25,6 +37,7 @@ std::vector<CpaTrace> acquire_traces(crypto::ByteView key, std::size_t count,
   }
   rng::Xoshiro256 pt_rng(rng::derive_seed(seed, 1));
   rng::Gaussian noise(rng::derive_seed(seed, 2));
+  const auto& hw_sbox = sbox_hamming_weights();
 
   std::vector<CpaTrace> traces;
   traces.reserve(count);
@@ -34,9 +47,7 @@ std::vector<CpaTrace> acquire_traces(crypto::ByteView key, std::size_t count,
     trace.samples.resize(16);
     for (std::size_t j = 0; j < 16; ++j) {
       trace.plaintext[j] = static_cast<std::uint8_t>(pt_rng.next());
-      const std::uint8_t sbox_out =
-          crypto::aes_sbox(static_cast<std::uint8_t>(trace.plaintext[j] ^ key[j]));
-      trace.samples[j] = model.alpha * hamming_weight(sbox_out) +
+      trace.samples[j] = model.alpha * hw_sbox[trace.plaintext[j] ^ key[j]] +
                          noise.next(0.0, model.noise_sigma);
     }
     traces.push_back(std::move(trace));
@@ -58,6 +69,7 @@ CpaResult cpa_attack(const std::vector<CpaTrace>& traces,
     }
   }
   const double n = static_cast<double>(traces.size());
+  const auto& hw_sbox = sbox_hamming_weights();
 
   CpaResult result;
   result.recovered_key.resize(16);
@@ -78,8 +90,7 @@ CpaResult cpa_attack(const std::vector<CpaTrace>& traces,
     for (int guess = 0; guess < 256; ++guess) {
       double sum_h = 0.0, sum_h2 = 0.0, sum_hy = 0.0;
       for (const auto& trace : traces) {
-        const double h = hamming_weight(crypto::aes_sbox(
-            static_cast<std::uint8_t>(trace.plaintext[lane] ^ guess)));
+        const double h = hw_sbox[trace.plaintext[lane] ^ guess];
         sum_h += h;
         sum_h2 += h * h;
         sum_hy += h * trace.samples[lane];

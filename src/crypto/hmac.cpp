@@ -5,7 +5,7 @@
 namespace neuropuls::crypto {
 
 HmacSha256::HmacSha256(ByteView key) {
-  std::array<std::uint8_t, Sha256::kBlockSize> block_key{};
+  std::array<std::uint8_t, Sha256::kBlockSize> block_key{};  // ctlint:secret
   if (key.size() > Sha256::kBlockSize) {
     const auto digest = Sha256::digest(key);
     std::memcpy(block_key.data(), digest.data(), digest.size());
@@ -13,12 +13,14 @@ HmacSha256::HmacSha256(ByteView key) {
     std::memcpy(block_key.data(), key.data(), key.size());
   }
 
-  std::array<std::uint8_t, Sha256::kBlockSize> ipad_key{};
+  std::array<std::uint8_t, Sha256::kBlockSize> ipad_key{};  // ctlint:secret
   for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
     ipad_key[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
     opad_key_[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
   }
   inner_.update(ipad_key);
+  secure_wipe(block_key.data(), block_key.size());
+  secure_wipe(ipad_key.data(), ipad_key.size());
 }
 
 Bytes HmacSha256::finalize() {
@@ -52,19 +54,21 @@ Bytes hkdf_expand(ByteView prk, ByteView info, std::size_t length) {
   }
   Bytes okm;
   okm.reserve(length);
-  Bytes previous;
+  Bytes previous;  // ctlint:secret — T(i), the output keying material
   std::uint8_t counter = 1;
   while (okm.size() < length) {
     HmacSha256 mac(prk);
     mac.update(previous);
     mac.update(info);
     mac.update(ByteView(&counter, 1));
+    secure_wipe(previous);
     previous = mac.finalize();
     const std::size_t take =
         std::min(kHashLen, length - okm.size());
     okm.insert(okm.end(), previous.begin(), previous.begin() + static_cast<std::ptrdiff_t>(take));
     ++counter;
   }
+  secure_wipe(previous);
   return okm;
 }
 

@@ -25,7 +25,10 @@ class HmacSha256 {
 
  private:
   Sha256 inner_;
-  std::array<std::uint8_t, Sha256::kBlockSize> opad_key_{};
+  std::array<std::uint8_t, Sha256::kBlockSize> opad_key_{};  // ctlint:secret
+
+ public:
+  ~HmacSha256() { secure_wipe(opad_key_.data(), opad_key_.size()); }
 };
 
 /// HKDF-Extract: PRK = HMAC(salt, ikm).

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "accel/secure_api.hpp"
+#include "crypto/sha256.hpp"
 
 namespace neuropuls::accel {
 namespace {
@@ -246,6 +247,32 @@ TEST(SecureApi, FreshNoncePerExecution) {
 TEST(SecureApi, EmptyKeyRejected) {
   EXPECT_THROW(SecureAccelerator(std::make_unique<DigitalMvm>(), {}),
                std::invalid_argument);
+}
+
+// Golden pin: the client-sealed network frame and the device-sealed output
+// frames for a fixed network, key and nonce schedule. Recorded before the
+// seal context and the bitsliced AES core; frame bytes must never move.
+TEST(SecureApi, GoldenFrames) {
+  const crypto::Bytes key =
+      crypto::bytes_of("golden device key, 32 bytes long");
+  SecureAccelerator device(std::make_unique<DigitalMvm>(),
+                           common::SecretBytes::copy_of(key));
+  const auto network_frame = SecureAccelerator::encrypt_network(
+      make_random_network({16, 8, 4}, 99), key, 7);
+  device.load_network(network_frame);
+  crypto::Sha256 outputs;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    std::vector<double> input(16);
+    for (std::size_t j = 0; j < input.size(); ++j) {
+      input[j] = 0.125 * static_cast<double>(j) - static_cast<double>(i);
+    }
+    outputs.update(device.execute_network(
+        SecureAccelerator::encrypt_input(input, key, 100 + i)));
+  }
+  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(network_frame)),
+            "bf308e0fe4cccc52571748186866d8faaec51f9b4b8ddbcca6ef1289ec2b3309");
+  EXPECT_EQ(crypto::to_hex(outputs.finalize()),
+            "3adcb93e98220a940b3595dac47f9eba5fd9b18e7858e03163f9aaf4e2876236");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
+#include "crypto/sha256.hpp"
 
 namespace neuropuls::crypto {
 namespace {
@@ -328,6 +329,90 @@ TEST(ChaChaDrbg, GenerateSpansBlockBoundaries) {
   const Bytes rest = b.generate(80);
   stitched.insert(stitched.end(), rest.begin(), rest.end());
   EXPECT_EQ(big, stitched);
+}
+
+// ---- Golden pins ------------------------------------------------------------
+// SHA-256 digests of byte-exact outputs, recorded from the byte-wise table
+// AES this code base shipped before the bitsliced core. Any change to the
+// cipher, the counter walk, the CMAC padding or the sealed-frame key
+// derivation moves a digest.
+
+Bytes golden_key(std::size_t length, std::uint8_t salt) {
+  Bytes key(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    key[i] = static_cast<std::uint8_t>(i * 37 + salt);
+  }
+  return key;
+}
+
+Bytes golden_message(std::size_t length) {
+  Bytes msg(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    msg[i] = static_cast<std::uint8_t>((i * 131 + length) ^ 0x5C);
+  }
+  return msg;
+}
+
+Bytes golden_nonce(std::size_t length) {
+  Bytes nonce(16, 0xF0);
+  nonce[0] = static_cast<std::uint8_t>(length);
+  nonce[15] = 0xFE;  // the low-32 counter carries inside every longer frame
+  return nonce;
+}
+
+TEST(AesGolden, SealedFramesAllLengthsAndKeySizes) {
+  const char* const expected[] = {
+      "95bfe80c7b7fa36b24ed55e7d26f82c5ee295d780e5f8b842dc29faf1028a77c",
+      "6d7022a8ef995576498db40e6bb728aef1f6562e4e5601a606aeeab930a9f21c",
+      "6b92b013ebbd03d9e863cd59341f90594646361dbeacd524aebe4b0840c11fae",
+  };
+  std::size_t k = 0;
+  for (const std::size_t key_len : {16u, 24u, 32u}) {
+    const Bytes key = golden_key(key_len, 0x11);
+    Sha256 digest;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const Bytes frame =
+          aes_ctr_then_mac_seal(key, golden_nonce(len), golden_message(len));
+      ASSERT_EQ(frame.size(), len + 32);
+      digest.update(frame);
+      ASSERT_EQ(aes_ctr_then_mac_open(key, frame), golden_message(len));
+    }
+    EXPECT_EQ(to_hex(digest.finalize()), expected[k++])
+        << key_len << "-byte key";
+  }
+}
+
+// The seal derives AES-128 subkeys whatever the outer key length, so the
+// AES-192/256 schedules are pinned directly through CTR and CMAC.
+TEST(AesGolden, CtrAndCmacAllKeySizes) {
+  const char* const expected[] = {
+      "fa827e9030c2c9fb88983a8c14d6dffb2ecdfe4b6ba4af24cf8a47886383a257",
+      "aea0f81d72124216bcf74c9fff662347ee1ddbe12da08a36e4fe0d3021334b41",
+      "cbf192335684928a109d649224932982dba68e1db65b1cba9ef859713ef3e7cd",
+  };
+  std::size_t k = 0;
+  for (const std::size_t key_len : {16u, 24u, 32u}) {
+    const Bytes key = golden_key(key_len, 0x2B);
+    Sha256 digest;
+    for (std::size_t len = 0; len <= 300; ++len) {
+      digest.update(aes_ctr(key, golden_nonce(len), golden_message(len)));
+      digest.update(aes_cmac(key, golden_message(len)));
+    }
+    EXPECT_EQ(to_hex(digest.finalize()), expected[k++])
+        << key_len << "-byte key";
+  }
+}
+
+// E6/E7 model first-round S-box leakage through aes_sbox.
+TEST(AesGolden, SboxTable) {
+  Bytes table(256);
+  for (int x = 0; x < 256; ++x) {
+    table[static_cast<std::size_t>(x)] = aes_sbox(static_cast<std::uint8_t>(x));
+  }
+  EXPECT_EQ(table[0x00], 0x63);
+  EXPECT_EQ(table[0x53], 0xED);  // FIPS 197 section 5.1.1 example
+  EXPECT_EQ(to_hex(Sha256::hash(table)),
+            "c2d8e5eed6cbebd8625fc18f81486a7733c04f9b0129ffbe974c68b90308b4f2");
 }
 
 }  // namespace

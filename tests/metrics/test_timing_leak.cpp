@@ -93,6 +93,40 @@ TEST(TimingLeak, CmacTagVerificationIsConstantTime) {
       << "CMAC verify flagged: t=" << report.t_statistic;
 }
 
+// Fixed-vs-random KEY classes: the class input is the AES key itself, so
+// the key schedule (SubWord through the S-box) and every round over
+// key-dependent state are under test. A table S-box small enough to stay
+// in L1 reads quiet here too; ctlint's secret-index rule is what rejects
+// table lookups.
+TEST(TimingLeak, AesCtrFixedVsRandomKeyIsConstantTime) {
+  // 132 B: one serialized 16-wide accelerator input.
+  const crypto::Bytes fixed_key(16, 0x00);
+  const crypto::Bytes nonce(16, 0xA5);
+  const crypto::Bytes message(132, 0x3C);
+  const TimingTarget target = [&](crypto::ByteView key) {
+    const crypto::Bytes ct = crypto::aes_ctr(key, nonce, message);
+    volatile std::uint8_t sink = ct[0];
+    (void)sink;
+  };
+  const auto report = best_of_three(target, fixed_key, quick_config());
+  EXPECT_FALSE(report.leaking)
+      << "AES-CTR key classes flagged: t=" << report.t_statistic;
+}
+
+TEST(TimingLeak, CmacFixedVsRandomKeyIsConstantTime) {
+  // 148 B: one sealed-frame body (nonce || 132 B ciphertext).
+  const crypto::Bytes fixed_key(16, 0x00);
+  const crypto::Bytes body(148, 0x5E);
+  const TimingTarget target = [&](crypto::ByteView key) {
+    const crypto::Bytes tag = crypto::aes_cmac(key, body);
+    volatile std::uint8_t sink = tag[0];
+    (void)sink;
+  };
+  const auto report = best_of_three(target, fixed_key, quick_config());
+  EXPECT_FALSE(report.leaking)
+      << "CMAC key classes flagged: t=" << report.t_statistic;
+}
+
 TEST(TimingLeak, HmacVerificationIsConstantTime) {
   // HMAC-SHA256 verify: recompute over the input, constant-time compare
   // against the expected MAC (EKE key-confirmation shape).
